@@ -14,7 +14,6 @@ import numpy as np
 from stiefel_retractions import (
     ChartCoordinates,
     TangentVector,
-    canonical_point,
     chart_at_E,
     param_at_E,
     pf_inv,
@@ -50,7 +49,6 @@ print("horizontal tangent, ||pl - pf|| =",
 
 # The chart at E: coordinates are a skew p-by-p block A and a rectangular
 # block B, recovered exactly from the point.
-E = canonical_point(12, 3)
 rng = np.random.default_rng(3)
 A = rng.standard_normal((3, 3))
 A = 0.5 * (A - A.T)

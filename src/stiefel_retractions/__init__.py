@@ -22,7 +22,6 @@ from .core import (
 )
 from .matfun import (
     DomainError,
-    SvdTriple,
     ValidationError,
     cay,
     cay_inv,
@@ -30,17 +29,11 @@ from .matfun import (
     invsqrtm_spd,
     logm_so,
     solve_pf_sylvester,
-    svd_square,
 )
 from .retractions import (
-    PF,
-    PL,
-    PL_CAYLEY,
     RETRACTION_PAIRS,
     ChartCoordinates,
-    RetractionKind,
     chart_at_E,
-    exp_kind,
     param_at_E,
     pf_inv,
     pf_ret,
@@ -55,13 +48,8 @@ __all__ = [
     "BETA_EUCLIDEAN",
     "ChartCoordinates",
     "DomainError",
-    "PF",
-    "PL",
-    "PL_CAYLEY",
     "RETRACTION_PAIRS",
-    "RetractionKind",
     "StiefelPoint",
-    "SvdTriple",
     "TangentVector",
     "ValidationError",
     "canonical_point",
@@ -71,7 +59,6 @@ __all__ = [
     "check_point",
     "check_tangent",
     "exp_beta",
-    "exp_kind",
     "expm_skew",
     "inner",
     "invsqrtm_spd",
@@ -87,7 +74,6 @@ __all__ = [
     "rand_point",
     "rand_tangent",
     "solve_pf_sylvester",
-    "svd_square",
 ]
 
 __version__ = "0.1.0"

@@ -137,22 +137,19 @@ def rand_tangent(base: StiefelPoint, norm_target: float, seed) -> TangentVector:
 
 
 def inner(xi: TangentVector, eta: TangentVector, beta: float = BETA_EUCLIDEAN) -> float:
-    """Metric inner product of two tangent vectors at the same base point.
+    """Inner product of the one-parameter metric family, for any beta > 0.
 
-    beta = 1 is the Euclidean metric tr(xi.T eta); beta = 1/2 the canonical
-    metric tr(xi.T (I - U U.T / 2) eta). Other beta values are not
-    implemented.
+    tr(xi.T eta) + (beta - 1) tr((U.T xi).T (U.T eta)), the metric whose
+    geodesics exp_beta computes: beta = 1 is the Euclidean metric and
+    beta = 1/2 the canonical metric.
     """
+    if beta <= 0:
+        raise ValidationError("beta must be positive")
     if xi.base is not eta.base and not np.array_equal(xi.base.U, eta.base.U):
         raise ValidationError("inner: tangent vectors have different base points")
-    full = float(np.sum(xi.Xi * eta.Xi))
-    if beta == BETA_EUCLIDEAN:
-        return full
-    if beta == BETA_CANONICAL:
-        Ax = xi.base.U.T @ xi.Xi
-        Ay = eta.base.U.T @ eta.Xi
-        return full - 0.5 * float(np.sum(Ax * Ay))
-    raise ValidationError(f"unsupported metric norm for beta={beta}")
+    Ax = xi.base.U.T @ xi.Xi
+    Ay = eta.base.U.T @ eta.Xi
+    return float(np.sum(xi.Xi * eta.Xi)) + (beta - 1.0) * float(np.sum(Ax * Ay))
 
 
 def exp_beta(xi: TangentVector, beta: float = BETA_EUCLIDEAN) -> StiefelPoint:

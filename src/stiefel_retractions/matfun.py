@@ -9,8 +9,6 @@ computing.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 import scipy.linalg
 
@@ -37,10 +35,6 @@ def tol_skew(p: int) -> float:
 
 def tol_sym(p: int) -> float:
     return 1e-8 * np.sqrt(p)
-
-
-def tol_roundtrip(p: int) -> float:
-    return 1e-10 * np.sqrt(p)
 
 
 EPS_SPD = 1e-12
@@ -114,19 +108,6 @@ def invsqrtm_spd(S: np.ndarray) -> np.ndarray:
     return 0.5 * (T + T.T)
 
 
-class SvdTriple(NamedTuple):
-    left: np.ndarray
-    singvals: np.ndarray
-    right: np.ndarray
-
-
-def svd_square(C: np.ndarray) -> SvdTriple:
-    """Full SVD of a square matrix, C = left @ diag(singvals) @ right.T."""
-    C = _check_square(C, "C")
-    M, s, Rt = np.linalg.svd(C)
-    return SvdTriple(M, s, Rt.T)
-
-
 def solve_pf_sylvester(C: np.ndarray) -> np.ndarray:
     """Solve C @ X + X @ C.T = 2*I for symmetric X.
 
@@ -161,11 +142,15 @@ def cay(A: np.ndarray) -> np.ndarray:
 
 
 def cay_inv(Q: np.ndarray) -> np.ndarray:
-    """Inverse Cayley transform, 2 (Q - I)(Q + I)^{-1}."""
+    """Inverse Cayley transform, 2 (Q - I)(Q + I)^{-1}.
+
+    The result is skew-symmetrized, so it is exactly skew (A == -A.T)
+    rather than skew up to roundoff.
+    """
     Q = _check_square(Q, "Q")
     p = Q.shape[0]
     try:
         A = 2.0 * np.linalg.solve((np.eye(p) + Q).T, (Q - np.eye(p)).T).T
     except np.linalg.LinAlgError as exc:
         raise DomainError("cay_inv: I + Q is singular") from exc
-    return A
+    return 0.5 * (A - A.T)

@@ -7,49 +7,37 @@ Three invertible pairs are provided:
 * PL: the polar-light retraction, which twists the p-by-p block by a
   matrix exponential and has a closed-form inverse built from one small
   SVD and one principal log.
-* PL_CAYLEY: the PL pair with exp/log replaced by the Cayley transform
+* PL-Cayley: the PL pair with exp/log replaced by the Cayley transform
   and its inverse.
 
+PL and PL-Cayley share one implementation that takes the twist map as
+an argument; the chart at E = [I; 0] is the PL pair evaluated at E.
 All O(n) work is plain matrix-matrix multiplication; decompositions only
 touch p-by-p blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import matfun
-from .core import StiefelPoint, TangentVector, check_point
+from .core import (
+    StiefelPoint,
+    TangentVector,
+    canonical_point,
+    check_point,
+    check_tangent,
+)
 from .matfun import DomainError, cay, cay_inv, expm_skew, invsqrtm_spd, logm_so
 
 # Floor on the singular values of U0.T @ U1 below which the PL chart
 # (and its inverse) is treated as degenerate.
 SIGMA_MIN = 1e-8
 
-
-@dataclass(frozen=True)
-class RetractionKind:
-    """Tag selecting a retraction for experiments; 'exp' carries beta."""
-
-    tag: str
-    beta: float | None = None
-
-    def __str__(self) -> str:
-        if self.tag == "exp":
-            return f"exp(beta={self.beta})"
-        return self.tag
-
-
-PF = RetractionKind("pf")
-PL = RetractionKind("pl")
-PL_CAYLEY = RetractionKind("pl_cayley")
-
-
-def exp_kind(beta: float) -> RetractionKind:
-    return RetractionKind("exp", beta)
+# A p-by-p twist map of the PL pair: expm_skew/logm_so or cay/cay_inv.
+_Twist = Callable[[np.ndarray], np.ndarray]
 
 
 def pf_ret(xi: TangentVector) -> StiefelPoint:
@@ -74,10 +62,9 @@ def pf_inv(base: StiefelPoint, U1: StiefelPoint) -> TangentVector:
     return TangentVector(base, U1.U @ X - base.U)
 
 
-def pl_ret(xi: TangentVector) -> StiefelPoint:
-    """Polar-light retraction.
+def _pl_ret(xi: TangentVector, twist: _Twist) -> StiefelPoint:
+    """(U (twist(A) - A) + Xi)(I + Xi.T Xi + A^2)^{-1/2} with A = U.T Xi.
 
-    (U (exp(A) - A) + Xi)(I + Xi.T Xi + A^2)^{-1/2} with A = U.T Xi.
     The normalizer equals (I + B.T B)^{-1/2} since A.T A + A^2 = 0.
     """
     U = xi.base.U
@@ -86,15 +73,15 @@ def pl_ret(xi: TangentVector) -> StiefelPoint:
     A = 0.5 * (A - A.T)
     S = np.eye(p) + xi.Xi.T @ xi.Xi + A @ A
     N = invsqrtm_spd(0.5 * (S + S.T))
-    return StiefelPoint((U @ (expm_skew(A) - A) + xi.Xi) @ N)
+    return StiefelPoint((U @ (twist(A) - A) + xi.Xi) @ N)
 
 
-class _PlFactors(NamedTuple):
-    ortho: np.ndarray  # M R.T, the polar/Procrustes factor of U0.T U1
-    r_sinv_rt: np.ndarray  # R S^{-1} R.T
+def _pl_inv(base: StiefelPoint, U1: StiefelPoint, untwist: _Twist) -> TangentVector:
+    """U0 (untwist(M R.T) - M R.T) + U1 R diag(1/s) R.T.
 
-
-def _pl_factors(base: StiefelPoint, U1: StiefelPoint) -> _PlFactors:
+    M diag(s) R.T is the SVD of U0.T U1 and M R.T its polar (Procrustes)
+    factor, which must be in SO(p); U0.T U1 must be well away from singular.
+    """
     M, s, Rt = np.linalg.svd(base.U.T @ U1.U)
     if s[-1] <= SIGMA_MIN:
         raise DomainError(
@@ -106,38 +93,28 @@ def _pl_factors(base: StiefelPoint, U1: StiefelPoint) -> _PlFactors:
             "pl_inv: polar factor has negative determinant, "
             "outside the path-connected chart neighborhood"
         )
-    return _PlFactors(ortho, (Rt.T * (1.0 / s)) @ Rt)
+    Xi = base.U @ (untwist(ortho) - ortho) + U1.U @ ((Rt.T * (1.0 / s)) @ Rt)
+    return TangentVector(base, Xi)
+
+
+def pl_ret(xi: TangentVector) -> StiefelPoint:
+    """Polar-light retraction: the PL map with twist exp(A), A = U.T Xi."""
+    return _pl_ret(xi, expm_skew)
 
 
 def pl_inv(base: StiefelPoint, U1: StiefelPoint) -> TangentVector:
-    """Closed-form inverse of the polar-light retraction.
-
-    With the SVD M diag(s) R.T = U0.T U1, the preimage is
-    U0 (log(M R.T) - M R.T) + U1 R diag(1/s) R.T.
-    """
-    F = _pl_factors(base, U1)
-    Xi = base.U @ (logm_so(F.ortho) - F.ortho) + U1.U @ F.r_sinv_rt
-    return TangentVector(base, Xi)
+    """Closed-form inverse of pl_ret: one p-by-p SVD and one principal log."""
+    return _pl_inv(base, U1, logm_so)
 
 
 def pl_cay_ret(xi: TangentVector) -> StiefelPoint:
     """Polar-light retraction with exp(A) replaced by the Cayley transform."""
-    U = xi.base.U
-    p = xi.base.p
-    A = U.T @ xi.Xi
-    A = 0.5 * (A - A.T)
-    S = np.eye(p) + xi.Xi.T @ xi.Xi + A @ A
-    N = invsqrtm_spd(0.5 * (S + S.T))
-    return StiefelPoint((U @ (cay(A) - A) + xi.Xi) @ N)
+    return _pl_ret(xi, cay)
 
 
 def pl_cay_inv(base: StiefelPoint, U1: StiefelPoint) -> TangentVector:
     """Inverse of pl_cay_ret, with the log replaced by the inverse Cayley."""
-    F = _pl_factors(base, U1)
-    A = cay_inv(F.ortho)
-    A = 0.5 * (A - A.T)
-    Xi = base.U @ (A - F.ortho) + U1.U @ F.r_sinv_rt
-    return TangentVector(base, Xi)
+    return _pl_inv(base, U1, cay_inv)
 
 
 class ChartCoordinates(NamedTuple):
@@ -148,31 +125,20 @@ class ChartCoordinates(NamedTuple):
 
 
 def chart_at_E(U: StiefelPoint) -> ChartCoordinates:
-    """Chart at the canonical point: the PL inverse specialized to base E.
+    """Chart at the canonical point: pl_inv(E, U) split after its first p rows.
 
     A is the principal log of the polar factor of the upper p-by-p block;
     B is the lower block times the inverse of the symmetric factor.
     """
-    p = U.p
-    U1 = U.U[:p, :]
-    U2 = U.U[p:, :]
-    M, s, Rt = np.linalg.svd(U1)
-    if s[-1] <= SIGMA_MIN:
-        raise DomainError("chart_at_E: upper block nearly singular")
-    ortho = M @ Rt
-    if np.linalg.det(ortho) < 0:
-        raise DomainError("chart_at_E: polar factor not in SO(p)")
-    inv_spd = (Rt.T * (1.0 / s)) @ Rt
-    return ChartCoordinates(logm_so(ortho), U2 @ inv_spd)
+    Xi = pl_inv(canonical_point(U.n, U.p), U).Xi
+    return ChartCoordinates(Xi[: U.p], Xi[U.p :])
 
 
 def param_at_E(c: ChartCoordinates) -> StiefelPoint:
-    """Parameterization inverse to chart_at_E: [exp(A); B](I + B.T B)^{-1/2}."""
+    """Inverse of chart_at_E: pl_ret(E, [A; B]) = [exp(A); B](I + B.T B)^{-1/2}."""
     A, B = np.asarray(c.A, dtype=float), np.asarray(c.B, dtype=float)
-    p = A.shape[0]
-    top = expm_skew(A)
-    N = invsqrtm_spd(np.eye(p) + B.T @ B)
-    return check_point(np.vstack([top @ N, B @ N]))
+    E = canonical_point(A.shape[0] + B.shape[0], A.shape[0])
+    return check_point(pl_ret(check_tangent(E, np.vstack([A, B]))).U)
 
 
 RetractFn = Callable[[TangentVector], StiefelPoint]

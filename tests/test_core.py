@@ -5,6 +5,7 @@ import scipy.linalg
 from stiefel_retractions.core import (
     BETA_CANONICAL,
     BETA_EUCLIDEAN,
+    TangentVector,
     canonical_point,
     check_point,
     check_tangent,
@@ -122,7 +123,7 @@ class TestInner:
         assert np.isclose(e, np.linalg.norm(horiz.Xi) ** 2)
 
     def test_vertical_canonical_is_half_euclidean(self):
-        # tangent with B = 0: Xi = U A
+        # tangent with B = 0: Xi = U A has squared norm beta ||A||^2
         U0 = rand_point(20, 4, 2)
         rng = np.random.default_rng(3)
         A = rng.standard_normal((4, 4))
@@ -131,6 +132,8 @@ class TestInner:
         assert np.isclose(
             inner(xi, xi, BETA_CANONICAL), 0.5 * inner(xi, xi, BETA_EUCLIDEAN)
         )
+        for beta in (0.3, BETA_CANONICAL, 0.7, BETA_EUCLIDEAN, 1.6):
+            assert np.isclose(inner(xi, xi, beta), beta * np.sum(A * A))
 
     def test_symmetry(self):
         U0 = rand_point(20, 4, 4)
@@ -145,11 +148,26 @@ class TestInner:
         with pytest.raises(ValidationError):
             inner(xi, eta)
 
-    def test_unsupported_beta_rejected(self):
+    def test_nonpositive_beta_rejected(self):
         U0 = rand_point(10, 3, 0)
         xi = rand_tangent(U0, 1.0, 1)
-        with pytest.raises(ValidationError, match="unsupported metric"):
-            inner(xi, xi, beta=0.7)
+        for beta in (0.0, -0.5):
+            with pytest.raises(ValidationError, match="beta must be positive"):
+                inner(xi, xi, beta)
+
+    @pytest.mark.parametrize("beta", [0.3, 0.7, 1.6])
+    def test_geodesic_has_constant_speed(self, beta):
+        # the central-difference velocity of t -> exp_beta(t xi) keeps the
+        # beta-metric squared norm of xi along the curve
+        U0 = rand_point(12, 4, 7)
+        xi = rand_tangent(U0, 1.0, 8)
+        h = 1e-5
+        for t in (0.0, 0.4, 0.9):
+            Ut = exp_beta(xi.scaled(t), beta)
+            vel = (exp_beta(xi.scaled(t + h), beta).U
+                   - exp_beta(xi.scaled(t - h), beta).U) / (2 * h)
+            v = TangentVector(Ut, vel)
+            assert np.isclose(inner(v, v, beta), inner(xi, xi, beta), rtol=1e-7)
 
 
 class TestExpBeta:

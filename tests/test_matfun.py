@@ -10,7 +10,6 @@ from stiefel_retractions.matfun import (
     invsqrtm_spd,
     logm_so,
     solve_pf_sylvester,
-    svd_square,
 )
 
 
@@ -124,28 +123,6 @@ class TestInvsqrtmSpd:
             invsqrtm_spd(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
-class TestSvdSquare:
-    def test_identity(self):
-        left, s, right = svd_square(np.eye(3))
-        assert np.allclose(s, np.ones(3))
-        assert np.allclose(left @ np.diag(s) @ right.T, np.eye(3))
-
-    def test_diagonal_with_sign(self):
-        C = np.diag([3.0, -2.0])
-        left, s, right = svd_square(C)
-        assert np.allclose(s, [3.0, 2.0])
-        assert np.allclose(left @ np.diag(s) @ right.T, C)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(6)
-        C = rng.standard_normal((5, 5))
-        left, s, right = svd_square(C)
-        assert np.linalg.norm(left @ np.diag(s) @ right.T - C) < 1e-12
-        assert np.linalg.norm(left.T @ left - np.eye(5)) < 1e-13
-        assert np.linalg.norm(right.T @ right - np.eye(5)) < 1e-13
-        assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
-
-
 def sylvester_kron_oracle(C):
     """Solve C X + X C.T = 2 I by the dense Kronecker system (small p only)."""
     p = C.shape[0]
@@ -218,6 +195,11 @@ class TestCayley:
         errs = [np.linalg.norm(cay(t * A) - expm_skew(t * A)) for t in ts]
         slope = np.polyfit(np.log(ts), np.log(errs), 1)[0]
         assert abs(slope - 3.0) < 0.2
+
+    def test_cay_inv_exactly_skew(self):
+        rng = np.random.default_rng(10)
+        A = cay_inv(expm_skew(random_skew(6, rng)))
+        assert np.array_equal(A, -A.T)
 
     def test_cay_inv_singular_resolvent(self):
         with pytest.raises(DomainError):

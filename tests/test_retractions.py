@@ -13,7 +13,7 @@ from stiefel_retractions.core import (
     rand_point,
     rand_tangent,
 )
-from stiefel_retractions.matfun import DomainError, expm_skew, logm_so
+from stiefel_retractions.matfun import DomainError, ValidationError, expm_skew, logm_so
 from stiefel_retractions.retractions import (
     RETRACTION_PAIRS,
     ChartCoordinates,
@@ -204,6 +204,22 @@ class TestChartAtE:
         assert np.linalg.norm(A2 - A) < 1e-10
         assert np.linalg.norm(B2 - B) < 1e-10
         assert np.linalg.norm(param_at_E(ChartCoordinates(A2, B2)).U - U.U) < 1e-10
+
+    def test_rejects_singular_upper_block(self):
+        U = np.zeros((8, 2))
+        U[1, 1] = U[2, 0] = 1.0
+        with pytest.raises(DomainError):
+            chart_at_E(StiefelPoint(U))
+
+    def test_rejects_negative_determinant(self):
+        U = canonical_point(6, 2).U.copy()
+        U[:, 0] *= -1
+        with pytest.raises(DomainError):
+            chart_at_E(StiefelPoint(U))
+
+    def test_param_rejects_non_skew_block(self):
+        with pytest.raises(ValidationError):
+            param_at_E(ChartCoordinates(np.eye(3), np.zeros((5, 3))))
 
 
 class TestPolarLightCayley:
