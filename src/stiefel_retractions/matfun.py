@@ -24,6 +24,11 @@ class DomainError(ValueError):
 # Rotation angles above pi - ANGLE_GUARD are rejected by the principal log.
 ANGLE_GUARD = 1e-6
 
+# Largest rotation angle logm_so takes on its eigh route; above it the
+# route's error grows as 1/(pi - theta) (about 2e-11 at pi - 1e-2 and
+# 2e-9 at pi - 1e-3 for p=400) and the complex Schur route takes over.
+_EIGH_MAX_ANGLE = 2.0
+
 
 def tol_orth(p: int) -> float:
     return 1e-8 * np.sqrt(p)
@@ -63,21 +68,48 @@ def expm_skew(A: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(A)
 
 
+def _theta_over_sin(c: np.ndarray) -> np.ndarray:
+    """phi(c) = arccos(c) / sqrt(1 - c^2), i.e. theta / sin(theta) at c = cos(theta).
+
+    Below theta = 1e-4 the Taylor branch 1 + theta^2/6 replaces the 0/0 quotient.
+    """
+    c = np.minimum(c, 1.0)
+    theta = np.arccos(c)
+    small = theta < 1e-4
+    sin = np.where(small, 1.0, np.sqrt((1.0 - c) * (1.0 + c)))
+    return np.where(small, 1.0 + theta**2 / 6.0, theta / sin)
+
+
 def logm_so(Q: np.ndarray) -> np.ndarray:
     """Principal logarithm of a special orthogonal matrix.
 
-    Q is normal, so its complex Schur form is diagonal; the log is
-    reassembled from the principal logs i*theta of the unit-modulus
-    eigenvalues and skew-symmetrized to remove roundoff asymmetry.
+    Two routes, chosen by the largest rotation angle theta_max of Q:
+
+    * theta_max <= _EIGH_MAX_ANGLE (2 rad), the usual case: one real
+      symmetric eigendecomposition. With C = (Q + Q.T)/2 and
+      S = (Q - Q.T)/2, which commute because Q is normal, the log is
+      S phi(C) with phi(c) = arccos(c)/sqrt(1 - c^2) (Gallier & Xu,
+      2002), evaluated on the eigenvalues cos(theta) of C.
+    * Larger angles: Q's complex Schur form is diagonal, and the log is
+      reassembled from the principal logs i*theta of its unit-modulus
+      eigenvalues. This route stays accurate up to the branch boundary,
+      where the eigh route loses digits as 1/(pi - theta).
+
+    Both routes skew-symmetrize the result, so it is exactly skew.
 
     Raises DomainError when a rotation angle reaches pi (the principal
-    branch boundary); this also catches det(Q) = -1 inputs.
+    branch boundary); this also catches det(Q) = -1 inputs. Both
+    decisions are made on the Schur route only.
     """
     Q = _check_square(Q, "Q")
     p = Q.shape[0]
     defect = np.linalg.norm(Q.T @ Q - np.eye(p))
     if defect > tol_orth(p):
         raise ValidationError(f"logm_so: input not orthogonal (defect {defect:.3e})")
+    w, V = np.linalg.eigh(0.5 * (Q + Q.T))
+    if w[0] > np.cos(_EIGH_MAX_ANGLE):
+        A = (0.5 * (Q - Q.T)) @ ((V * _theta_over_sin(w)) @ V.T)
+        return 0.5 * (A - A.T)
     T, Z = scipy.linalg.schur(Q, output="complex")
     theta = np.angle(np.diagonal(T))
     if np.max(np.abs(theta)) > np.pi - ANGLE_GUARD:

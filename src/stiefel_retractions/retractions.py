@@ -80,9 +80,10 @@ def _pl_inv(base: StiefelPoint, U1: StiefelPoint, untwist: _Twist) -> TangentVec
     """U0 (untwist(M R.T) - M R.T) + U1 R diag(1/s) R.T.
 
     M diag(s) R.T is the SVD of U0.T U1 and M R.T its polar (Procrustes)
-    factor, which must be in SO(p); U0.T U1 must be well away from singular.
+    factor, which must be in SO(p); U0.T U1 must be finite and well away
+    from singular.
     """
-    M, s, Rt = np.linalg.svd(base.U.T @ U1.U)
+    M, s, Rt = np.linalg.svd(matfun._check_square(base.U.T @ U1.U, "C"))
     if s[-1] <= SIGMA_MIN:
         raise DomainError(
             "pl_inv: U0.T U1 nearly singular, outside chart neighborhood"

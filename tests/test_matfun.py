@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from stiefel_retractions.matfun import (
     DomainError,
@@ -21,6 +22,24 @@ def random_skew(p, rng, scale=1.0):
 def planar_rotation(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
+
+
+def skew_with_angles(angles, p, rng):
+    """Skew p-by-p matrix with the given rotation angles in a random orthonormal basis."""
+    J = np.zeros((p, p))
+    for k, theta in enumerate(angles):
+        J[2 * k + 1, 2 * k] = theta
+        J[2 * k, 2 * k + 1] = -theta
+    Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    A = Q @ J @ Q.T
+    return 0.5 * (A - A.T)
+
+
+def skew_with_largest_angle(theta_max, p, rng):
+    """skew_with_angles: angles uniform in [0, pi/2), the first set to theta_max."""
+    angles = rng.uniform(0.0, np.pi / 2, p // 2)
+    angles[0] = theta_max
+    return skew_with_angles(angles, p, rng)
 
 
 class TestExpmSkew:
@@ -64,7 +83,7 @@ class TestLogmSo:
         A *= (np.pi - 0.1) / np.linalg.norm(A, 2) * rng.uniform(0.1, 1.0)
         assert np.linalg.norm(logm_so(expm_skew(A)) - A) < 1e-10
 
-    @pytest.mark.parametrize("p", [2, 10, 25, 50])
+    @pytest.mark.parametrize("p", [2, 10, 25, 50, 400])
     def test_roundtrip_dimension_sweep(self, p):
         rng = np.random.default_rng(p)
         for _ in range(3):
@@ -76,6 +95,46 @@ class TestLogmSo:
         rng = np.random.default_rng(3)
         A = logm_so(expm_skew(random_skew(6, rng)))
         assert np.linalg.norm(A + A.T) < 1e-8 * np.sqrt(6)
+
+    @pytest.mark.parametrize("p", [10, 100])
+    @pytest.mark.parametrize("delta", [1e-1, 1e-2, 1e-3, 1e-4])
+    def test_near_pi(self, p, delta):
+        # Schur route: the eigh route would lose digits as 1/delta here
+        rng = np.random.default_rng(p)
+        A = skew_with_largest_angle(np.pi - delta, p, rng)
+        assert np.linalg.norm(logm_so(expm_skew(A)) - A) <= 1e-12 * np.sqrt(p)
+
+    @pytest.mark.parametrize("p", [10, 100])
+    def test_near_zero_relative_accuracy(self, p):
+        # every angle in the Taylor branch of the eigh route
+        rng = np.random.default_rng(p + 1)
+        A = skew_with_angles(rng.uniform(0.0, 1e-8, p // 2), p, rng)
+        err = np.linalg.norm(logm_so(expm_skew(A)) - A)
+        assert err <= 1e-12 * np.linalg.norm(A)
+
+    @pytest.mark.parametrize("p", [10, 100])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_route_limit(self, p, side, monkeypatch):
+        # largest angle just below (eigh route) or above (Schur route) 2 rad
+        schur_calls = []
+        schur = scipy.linalg.schur
+
+        def counting_schur(*args, **kwargs):
+            schur_calls.append(1)
+            return schur(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+        rng = np.random.default_rng(p + 2)
+        A = skew_with_largest_angle(2.0 + side * 1e-3, p, rng)
+        assert np.linalg.norm(logm_so(expm_skew(A)) - A) <= 1e-12 * np.sqrt(p)
+        assert len(schur_calls) == (side > 0)
+
+    @pytest.mark.parametrize("theta_max", [1.0, 3.0])
+    def test_exactly_skew(self, theta_max):
+        # theta_max = 1 takes the eigh route, 3 the Schur route
+        rng = np.random.default_rng(9)
+        A = logm_so(expm_skew(skew_with_largest_angle(theta_max, 9, rng)))
+        assert np.array_equal(A, -A.T)
 
     def test_rejects_angle_at_pi(self):
         with pytest.raises(DomainError):

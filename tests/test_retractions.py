@@ -40,6 +40,13 @@ def horizontal_tangent(base, seed, norm=1.0):
     return TangentVector(base, Xi * (norm / np.linalg.norm(Xi)))
 
 
+def point_with_nan(n, p, seed):
+    """A random point with one entry replaced by NaN (bypasses check_point)."""
+    U = rand_point(n, p, seed).U.copy()
+    U[0, 0] = np.nan
+    return StiefelPoint(U)
+
+
 class TestPolarFactor:
     def test_zero_tangent(self):
         U0 = rand_point(10, 3, 0)
@@ -160,6 +167,10 @@ class TestPolarLight:
         with pytest.raises(DomainError):
             pl_inv(U0, StiefelPoint(flipped))
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            pl_inv(rand_point(10, 3, 0), point_with_nan(10, 3, 1))
+
     def test_completion_independence(self):
         # O(np^2) form equals Q_hat * param_E(Q_hat.T xi) for explicit completions
         import scipy.linalg
@@ -217,6 +228,10 @@ class TestChartAtE:
         with pytest.raises(DomainError):
             chart_at_E(StiefelPoint(U))
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            chart_at_E(point_with_nan(8, 2, 0))
+
     def test_param_rejects_non_skew_block(self):
         with pytest.raises(ValidationError):
             param_at_E(ChartCoordinates(np.eye(3), np.zeros((5, 3))))
@@ -249,6 +264,10 @@ class TestPolarLightCayley:
             for t in ts
         ]
         assert abs(fit_slope(ts, errs) - 3.0) < 0.2
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            pl_cay_inv(rand_point(10, 3, 0), point_with_nan(10, 3, 1))
 
 
 class TestSharedInvariants:
