@@ -15,8 +15,7 @@ import numpy as np
 from .matfun import (
     ValidationError,
     expm_skew,
-    tol_orth,
-    tol_skew,
+    tol_struct,
 )
 
 # Metric family parameter values for the two standard metrics.
@@ -73,7 +72,7 @@ def check_point(U: np.ndarray) -> StiefelPoint:
     if not np.all(np.isfinite(U)):
         raise ValidationError("point contains non-finite entries")
     defect = np.linalg.norm(U.T @ U - np.eye(p))
-    if defect > tol_orth(p):
+    if defect > tol_struct(p):
         raise ValidationError(
             f"columns not orthonormal: ||U.T U - I||_F = {defect:.3e}"
         )
@@ -89,7 +88,7 @@ def check_tangent(base: StiefelPoint, Xi: np.ndarray) -> TangentVector:
         )
     A = base.U.T @ Xi
     defect = np.linalg.norm(A + A.T)
-    if defect > tol_skew(base.p):
+    if defect > tol_struct(base.p):
         raise ValidationError(f"U.T Xi not skew-symmetric (defect {defect:.3e})")
     return TangentVector(base, Xi)
 

@@ -30,15 +30,8 @@ ANGLE_GUARD = 1e-6
 _EIGH_MAX_ANGLE = 2.0
 
 
-def tol_orth(p: int) -> float:
-    return 1e-8 * np.sqrt(p)
-
-
-def tol_skew(p: int) -> float:
-    return 1e-8 * np.sqrt(p)
-
-
-def tol_sym(p: int) -> float:
+# Largest Frobenius defect accepted for orthonormality, skewness or symmetry.
+def tol_struct(p: int) -> float:
     return 1e-8 * np.sqrt(p)
 
 
@@ -63,7 +56,7 @@ def expm_skew(A: np.ndarray) -> np.ndarray:
     A = _check_square(A, "A")
     p = A.shape[0]
     defect = np.linalg.norm(A + A.T)
-    if defect > tol_skew(p):
+    if defect > tol_struct(p):
         raise ValidationError(f"expm_skew: input not skew-symmetric (defect {defect:.3e})")
     return scipy.linalg.expm(A)
 
@@ -104,7 +97,7 @@ def logm_so(Q: np.ndarray) -> np.ndarray:
     Q = _check_square(Q, "Q")
     p = Q.shape[0]
     defect = np.linalg.norm(Q.T @ Q - np.eye(p))
-    if defect > tol_orth(p):
+    if defect > tol_struct(p):
         raise ValidationError(f"logm_so: input not orthogonal (defect {defect:.3e})")
     w, V = np.linalg.eigh(0.5 * (Q + Q.T))
     if w[0] > np.cos(_EIGH_MAX_ANGLE):
@@ -129,7 +122,7 @@ def invsqrtm_spd(S: np.ndarray) -> np.ndarray:
     S = _check_square(S, "S")
     p = S.shape[0]
     defect = np.linalg.norm(S - S.T)
-    if defect > tol_sym(p):
+    if defect > tol_struct(p):
         raise ValidationError(f"invsqrtm_spd: input not symmetric (defect {defect:.3e})")
     w, V = np.linalg.eigh(0.5 * (S + S.T))
     if w[0] <= EPS_SPD:
@@ -143,13 +136,18 @@ def invsqrtm_spd(S: np.ndarray) -> np.ndarray:
 def solve_pf_sylvester(C: np.ndarray) -> np.ndarray:
     """Solve C @ X + X @ C.T = 2*I for symmetric X.
 
-    Route: complex eigendecomposition C = V D V^{-1}; with X = V Y V.T the
-    equation decouples into Y_ij = 2 G_ij / (d_i + d_j), G = (V.T V)^{-1}.
-    Rejects eigenvalue pairs with d_i + d_j near zero, where the equation
+    Route: Bartels-Stewart on one real Schur form C = Z T Z.T (Bartels &
+    Stewart, CACM 1972). With X = Z Y Z.T the equation becomes
+    T Y + Y T.T = 2 I, which LAPACK's trsyl solves by back substitution
+    on the quasi-triangular T. Only orthogonal transformations are
+    involved, so the residual stays at roundoff level even when C is
+    nearly defective and its eigenvector basis ill-conditioned. Rejects
+    eigenvalue pairs of T with d_i + d_j near zero, where the equation
     is singular and the inverse polar factor retraction is undefined.
     """
     C = _check_square(C, "C")
-    d, V = np.linalg.eig(C.astype(complex))
+    T, Z = scipy.linalg.schur(C)
+    d = np.linalg.eigvals(T)
     pair_sums = np.abs(d[:, None] + d[None, :])
     eps_sylv = 1e-10 * np.linalg.norm(C, 2)
     if np.min(pair_sums) <= eps_sylv:
@@ -157,9 +155,8 @@ def solve_pf_sylvester(C: np.ndarray) -> np.ndarray:
             "solve_pf_sylvester: eigenvalue pair sum near zero, "
             "inverse PF retraction undefined/ill-conditioned"
         )
-    G = np.linalg.inv(V.T @ V)
-    Y = 2.0 * G / (d[:, None] + d[None, :])
-    X = (V @ Y @ V.T).real
+    Y, scale, _ = scipy.linalg.lapack.dtrsyl(T, T, 2.0 * np.eye(C.shape[0]), tranb="T")
+    X = Z @ (Y / scale) @ Z.T
     return 0.5 * (X + X.T)
 
 

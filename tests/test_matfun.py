@@ -190,6 +190,17 @@ def sylvester_kron_oracle(C):
     return x.reshape((p, p), order="F")
 
 
+def near_defective(p, eps, rng):
+    """Q (J + eps diag(0, ..., p-1)) Q.T, J the p-by-p Jordan block at 1.
+
+    Its eigenvalues are distinct but its eigenvector matrix has condition
+    number of order eps^-(p-1).
+    """
+    J = np.eye(p) + np.diag(np.ones(p - 1), 1) + eps * np.diag(np.arange(p))
+    Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    return Q @ J @ Q.T
+
+
 class TestSolvePfSylvester:
     def test_identity(self):
         assert np.allclose(solve_pf_sylvester(np.eye(4)), np.eye(4))
@@ -229,6 +240,13 @@ class TestSolvePfSylvester:
     def test_degenerate_eigenvalue_pair(self):
         with pytest.raises(DomainError):
             solve_pf_sylvester(np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-8])
+    def test_near_defective_residual(self, eps):
+        C = near_defective(6, eps, np.random.default_rng(0))
+        X = solve_pf_sylvester(C)
+        res = np.linalg.norm(C @ X + X @ C.T - 2 * np.eye(6)) / np.linalg.norm(2 * np.eye(6))
+        assert res <= 1e-12
 
 
 class TestCayley:

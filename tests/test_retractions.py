@@ -81,6 +81,29 @@ class TestPolarFactor:
         back = pf_inv(U0, pf_ret(xi))
         assert np.linalg.norm(back.Xi - xi.Xi) < 1e-10
 
+    def test_inverse_roundtrip_near_defective_overlap(self):
+        # U0 = E, U1 = [C; P (I - C.T C)^(1/2)] with C = 0.4 Q (J + 1e-4 diag(0..5)) Q.T,
+        # J the Jordan block at 1: sigma_min(C) 0.096, but C is nearly defective
+        rng = np.random.default_rng(0)
+        n, p = 20, 6
+        J = np.eye(p) + np.diag(np.ones(p - 1), 1) + 1e-4 * np.diag(np.arange(p))
+        Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        C = 0.4 * Q @ J @ Q.T
+        w, V = np.linalg.eigh(np.eye(p) - C.T @ C)
+        P = np.linalg.qr(rng.standard_normal((n - p, p)))[0]
+        U0 = canonical_point(n, p)
+        U1 = check_point(np.vstack([C, P @ ((V * np.sqrt(w)) @ V.T)]))
+        assert np.linalg.norm(pf_ret(pf_inv(U0, U1)).U - U1.U) <= 1e-10 * np.sqrt(p)
+
+    def test_rejects_rotation_angle_above_half_pi(self):
+        # Sylvester solution X = I / cos(2) on the rotated block: not SPD,
+        # and pf_ret(U1 X - U0) = U1 sign(X) != U1
+        A = np.zeros((4, 4))
+        A[1, 0], A[0, 1] = 2.0, -2.0
+        U1 = param_at_E(ChartCoordinates(A, np.zeros((6, 4))))
+        with pytest.raises(DomainError, match="positive definite"):
+            pf_inv(canonical_point(10, 4), U1)
+
 
 class TestPolarLight:
     def test_zero_tangent(self):
