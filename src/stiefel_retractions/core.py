@@ -79,6 +79,19 @@ def check_point(U: np.ndarray) -> StiefelPoint:
     return StiefelPoint(U)
 
 
+def _skew_block(base: StiefelPoint, Xi: np.ndarray) -> np.ndarray:
+    """The exactly skew block A = U.T Xi of a tangent Xi.
+
+    Raises ValidationError when U.T Xi has a symmetric part above
+    roundoff, i.e. when Xi is not tangent at base.
+    """
+    A = base.U.T @ Xi
+    defect = np.linalg.norm(A + A.T)
+    if defect > tol_struct(base.p):
+        raise ValidationError(f"U.T Xi not skew-symmetric (defect {defect:.3e})")
+    return 0.5 * (A - A.T)
+
+
 def check_tangent(base: StiefelPoint, Xi: np.ndarray) -> TangentVector:
     """Validate that base.T @ Xi is skew and wrap as a TangentVector."""
     Xi = np.asarray(Xi, dtype=float)
@@ -86,10 +99,7 @@ def check_tangent(base: StiefelPoint, Xi: np.ndarray) -> TangentVector:
         raise ValidationError(
             f"tangent shape {Xi.shape} does not match base shape {base.U.shape}"
         )
-    A = base.U.T @ Xi
-    defect = np.linalg.norm(A + A.T)
-    if defect > tol_struct(base.p):
-        raise ValidationError(f"U.T Xi not skew-symmetric (defect {defect:.3e})")
+    _skew_block(base, Xi)
     return TangentVector(base, Xi)
 
 
@@ -157,14 +167,14 @@ def exp_beta(xi: TangentVector, beta: float = BETA_EUCLIDEAN) -> StiefelPoint:
     Compact O(n p^2) evaluation: with A = U.T Xi and the thin QR
     Q R = (I - U U.T) Xi, exponentiate the skew 2p-by-2p block matrix
     [[2 beta A, -R.T], [R, 0]], combine with U and Q, and post-multiply
-    by exp((1 - 2 beta) A). Defined on the whole tangent space.
+    by exp((1 - 2 beta) A). Defined on the whole tangent space; raises
+    ValidationError when Xi is not tangent.
     """
     if beta <= 0:
         raise ValidationError("beta must be positive")
     U = xi.base.U
     p = xi.base.p
-    A = U.T @ xi.Xi
-    A = 0.5 * (A - A.T)
+    A = _skew_block(xi.base, xi.Xi)
     Q, R = np.linalg.qr(xi.Xi - U @ A)
     L = np.block([[2.0 * beta * A, -R.T], [R, np.zeros((p, p))]])
     W = expm_skew(L)

@@ -142,14 +142,15 @@ def solve_pf_sylvester(C: np.ndarray) -> np.ndarray:
     on the quasi-triangular T. Only orthogonal transformations are
     involved, so the residual stays at roundoff level even when C is
     nearly defective and its eigenvector basis ill-conditioned. Rejects
-    eigenvalue pairs of T with d_i + d_j near zero, where the equation
-    is singular and the inverse polar factor retraction is undefined.
+    eigenvalue pairs of T with |d_i + d_j| <= 1e-10 ||C||_F, where the
+    equation is singular and the inverse polar factor retraction is
+    undefined. ||C||_F needs no SVD and is never below ||C||_2.
     """
     C = _check_square(C, "C")
     T, Z = scipy.linalg.schur(C)
     d = np.linalg.eigvals(T)
     pair_sums = np.abs(d[:, None] + d[None, :])
-    eps_sylv = 1e-10 * np.linalg.norm(C, 2)
+    eps_sylv = 1e-10 * np.linalg.norm(C)
     if np.min(pair_sums) <= eps_sylv:
         raise DomainError(
             "solve_pf_sylvester: eigenvalue pair sum near zero, "

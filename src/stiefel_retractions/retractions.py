@@ -10,10 +10,11 @@ Three invertible pairs are provided:
 * PL-Cayley: the PL pair with exp/log replaced by the Cayley transform
   and its inverse.
 
-PL and PL-Cayley share one implementation that takes the twist map as
-an argument; the chart at E = [I; 0] is the PL pair evaluated at E.
-All O(n) work is plain matrix-matrix multiplication; decompositions only
-touch p-by-p blocks.
+Every retraction is the polar factor of U K + Xi: K = I for PF and
+K = twist(A) - A, A = U.T Xi, for PL and PL-Cayley, which share one
+implementation; the chart at E = [I; 0] is the PL pair at E. All O(n)
+work is plain matrix-matrix multiplication; decompositions only touch
+p-by-p blocks.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from . import matfun
 from .core import (
     StiefelPoint,
     TangentVector,
+    _skew_block,
     canonical_point,
     check_point,
     check_tangent,
@@ -40,12 +42,16 @@ SIGMA_MIN = 1e-8
 _Twist = Callable[[np.ndarray], np.ndarray]
 
 
+def _polar(M: np.ndarray) -> StiefelPoint:
+    """Orthonormal polar factor M (M.T M)^{-1/2} of a full-rank n-by-p M."""
+    # numpy computes M.T @ M with BLAS syrk, so it is exactly symmetric, as
+    # invsqrtm_spd's symmetry check needs when ||M.T M|| is large.
+    return StiefelPoint(M @ invsqrtm_spd(M.T @ M))
+
+
 def pf_ret(xi: TangentVector) -> StiefelPoint:
-    """Polar factor retraction (U + Xi)(I + Xi.T Xi)^{-1/2}."""
-    U = xi.base.U
-    p = xi.base.p
-    N = invsqrtm_spd(np.eye(p) + xi.Xi.T @ xi.Xi)
-    return StiefelPoint((U + xi.Xi) @ N)
+    """Polar factor retraction: the polar factor of U + Xi."""
+    return _polar(xi.base.U + xi.Xi)
 
 
 def pf_inv(base: StiefelPoint, U1: StiefelPoint) -> TangentVector:
@@ -72,17 +78,9 @@ def pf_inv(base: StiefelPoint, U1: StiefelPoint) -> TangentVector:
 
 
 def _pl_ret(xi: TangentVector, twist: _Twist) -> StiefelPoint:
-    """(U (twist(A) - A) + Xi)(I + Xi.T Xi + A^2)^{-1/2} with A = U.T Xi.
-
-    The normalizer equals (I + B.T B)^{-1/2} since A.T A + A^2 = 0.
-    """
-    U = xi.base.U
-    p = xi.base.p
-    A = U.T @ xi.Xi
-    A = 0.5 * (A - A.T)
-    S = np.eye(p) + xi.Xi.T @ xi.Xi + A @ A
-    N = invsqrtm_spd(0.5 * (S + S.T))
-    return StiefelPoint((U @ (twist(A) - A) + xi.Xi) @ N)
+    """Polar factor of U (twist(A) - A) + Xi; A = U.T Xi must be skew."""
+    A = _skew_block(xi.base, xi.Xi)
+    return _polar(xi.base.U @ (twist(A) - A) + xi.Xi)
 
 
 def _pl_inv(base: StiefelPoint, U1: StiefelPoint, untwist: _Twist) -> TangentVector:

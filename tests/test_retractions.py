@@ -292,6 +292,22 @@ class TestPolarLightCayley:
         with pytest.raises(ValidationError, match="non-finite"):
             pl_cay_inv(rand_point(10, 3, 0), point_with_nan(10, 3, 1))
 
+    @pytest.mark.parametrize("delta", [1e-3, 1e-4])
+    def test_roundtrip_near_pi(self, delta):
+        # one rotation angle pi - delta: cay_inv returns ||A|| ~ 4/delta, and
+        # the retraction's normalizer must not cancel O(||A||^2) terms
+        rng = np.random.default_rng(11)
+        n, p = 20, 6
+        J = np.zeros((p, p))
+        for k, theta in enumerate([np.pi - delta, *rng.uniform(0.0, np.pi / 2, 2)]):
+            J[2 * k + 1, 2 * k], J[2 * k, 2 * k + 1] = theta, -theta
+        Q = rand_point(p, p, 12).U
+        A = Q @ J @ Q.T
+        B = 0.1 * rng.standard_normal((n - p, p))
+        U1 = param_at_E(ChartCoordinates(0.5 * (A - A.T), B))
+        again = pl_cay_ret(pl_cay_inv(canonical_point(n, p), U1))
+        assert np.linalg.norm(again.U - U1.U) <= 1e-10 * np.sqrt(p)
+
 
 class TestSharedInvariants:
     @pytest.mark.parametrize("kind", ["pf", "pl", "pl_cayley"])
@@ -335,3 +351,12 @@ class TestSharedInvariants:
         errs = [np.linalg.norm(pl_ret(xi.scaled(t)).U - exp_beta(xi.scaled(t), BETA_CANONICAL).U)
                 for t in ts]
         assert abs(fit_slope(ts, errs) - 2.0) < 0.2
+
+    @pytest.mark.parametrize("retract", [pl_ret, pl_cay_ret, exp_beta],
+                             ids=lambda f: f.__name__)
+    def test_rejects_non_tangent(self, retract):
+        # U.T Xi = diag(0.3, 0.1, 0, 0.2) is symmetric, not skew; pf_ret is
+        # left unchecked, as it forms no U.T Xi
+        U0 = rand_point(20, 4, 0)
+        with pytest.raises(ValidationError, match="not skew"):
+            retract(TangentVector(U0, U0.U * [0.3, 0.1, 0.0, 0.2]))
