@@ -159,40 +159,34 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def write_curve_csv(path: Path, cfg: ExperimentConfig, records: list[ErrorCurveRecord]):
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["n", "p", "seed", "kind", "t", "error"])
-        for rec in records:
-            for kind, err in rec.errors.items():
-                w.writerow([cfg.n, cfg.p, cfg.seed, kind, _fmt(rec.t), _fmt(err)])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_curve_csv(path: Path, cfg: ExperimentConfig, records: list[ErrorCurveRecord]):
+    rows = ([cfg.n, cfg.p, cfg.seed, kind, _fmt(rec.t), _fmt(err)]
+            for rec in records for kind, err in rec.errors.items())
+    _write_csv(path, ["n", "p", "seed", "kind", "t", "error"], rows)
 
 
 def write_maxerr_csv(path: Path, cfg: ExperimentConfig, maxima: dict[str, float]):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["n", "p", "seed", "kind", "max_error"])
-        for kind, err in maxima.items():
-            w.writerow([cfg.n, cfg.p, cfg.seed, kind, _fmt(err)])
+    rows = ([cfg.n, cfg.p, cfg.seed, kind, _fmt(err)] for kind, err in maxima.items())
+    _write_csv(path, ["n", "p", "seed", "kind", "max_error"], rows)
 
 
 def write_timing_csv(path: Path, cfg: ExperimentConfig, timings: list[TimingRecord]):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["n", "p", "seed", "kind", "mean_seconds", "roundtrip_norm"])
-        for rec in timings:
-            w.writerow(
-                [cfg.n, cfg.p, cfg.seed, rec.kind,
-                 _fmt(rec.mean_seconds), _fmt(rec.roundtrip_norm_mean)]
-            )
+    rows = ([cfg.n, cfg.p, cfg.seed, rec.kind, _fmt(rec.mean_seconds),
+             _fmt(rec.roundtrip_norm_mean)] for rec in timings)
+    _write_csv(path, ["n", "p", "seed", "kind", "mean_seconds", "roundtrip_norm"], rows)
 
 
 def write_order_csv(path: Path, cfg: ExperimentConfig, slopes: dict[tuple[str, float], float]):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["n", "p", "seed", "kind", "beta", "slope"])
-        for (kind, beta), slope in slopes.items():
-            w.writerow([cfg.n, cfg.p, cfg.seed, kind, _fmt(beta), _fmt(slope)])
+    rows = ([cfg.n, cfg.p, cfg.seed, kind, _fmt(beta), _fmt(slope)]
+            for (kind, beta), slope in slopes.items())
+    _write_csv(path, ["n", "p", "seed", "kind", "beta", "slope"], rows)
 
 
 def emit_report(

@@ -25,7 +25,8 @@ BETA_EUCLIDEAN = 1.0
 
 @dataclass(frozen=True)
 class StiefelPoint:
-    """Validated point on St(n, p). Construct via check_point or rand_point."""
+    """Point on St(n, p), built by check_point or rand_point. Public maps
+    trust a StiefelPoint and do not re-check its orthonormality."""
 
     U: np.ndarray
 
@@ -82,9 +83,11 @@ def check_point(U: np.ndarray) -> StiefelPoint:
 def _skew_block(base: StiefelPoint, Xi: np.ndarray) -> np.ndarray:
     """The exactly skew block A = U.T Xi of a tangent Xi.
 
-    Raises ValidationError when U.T Xi has a symmetric part above
-    roundoff, i.e. when Xi is not tangent at base.
+    Raises ValidationError when Xi is not finite, or when U.T Xi has a
+    symmetric part above roundoff, i.e. when Xi is not tangent at base.
     """
+    if not np.all(np.isfinite(Xi)):
+        raise ValidationError("tangent contains non-finite entries")
     A = base.U.T @ Xi
     defect = np.linalg.norm(A + A.T)
     if defect > tol_struct(base.p):

@@ -24,10 +24,12 @@ class DomainError(ValueError):
 # Rotation angles above pi - ANGLE_GUARD are rejected by the principal log.
 ANGLE_GUARD = 1e-6
 
-# Largest rotation angle logm_so takes on its eigh route; above it the
-# route's error grows as 1/(pi - theta) (about 2e-11 at pi - 1e-2 and
-# 2e-9 at pi - 1e-3 for p=400) and the complex Schur route takes over.
+# logm_so sends rotation angles from 2 rad up to complex Schur, split off at
+# an eigenvalue gap of at least _SPLIT_GAP: the split's error is ~1e-15/gap.
+# The cut sits 1e-10 above cos 2 in C's spectrum, so that eigh's rounding
+# (~1e-15) cannot move a plane at exactly 2 rad out of the block.
 _EIGH_MAX_ANGLE = 2.0
+_SPLIT_GAP = 1e-2
 
 
 # Largest Frobenius defect accepted for orthonormality, skewness or symmetry.
@@ -76,23 +78,18 @@ def _theta_over_sin(c: np.ndarray) -> np.ndarray:
 def logm_so(Q: np.ndarray) -> np.ndarray:
     """Principal logarithm of a special orthogonal matrix.
 
-    Two routes, chosen by the largest rotation angle theta_max of Q:
+    C = (Q + Q.T)/2 commutes with S = (Q - Q.T)/2, so each eigenspace of C
+    is Q-invariant, and one real symmetric eigh of C splits Q in two. On the
+    eigenvalues cos(theta) of C with theta below 2 rad (usually all) the log
+    is S phi(C), phi(c) = arccos(c)/sqrt(1 - c^2) (Gallier & Xu, 2002). The
+    rest, with eigenvectors Vb, is logged from the complex Schur form of the
+    small block Vb.T Q Vb, which stays accurate up to the branch boundary.
+    The split moves up to the next wide gap in C's spectrum, so it never
+    cuts a rotation plane. The result is exactly skew.
 
-    * theta_max <= _EIGH_MAX_ANGLE (2 rad), the usual case: one real
-      symmetric eigendecomposition. With C = (Q + Q.T)/2 and
-      S = (Q - Q.T)/2, which commute because Q is normal, the log is
-      S phi(C) with phi(c) = arccos(c)/sqrt(1 - c^2) (Gallier & Xu,
-      2002), evaluated on the eigenvalues cos(theta) of C.
-    * Larger angles: Q's complex Schur form is diagonal, and the log is
-      reassembled from the principal logs i*theta of its unit-modulus
-      eigenvalues. This route stays accurate up to the branch boundary,
-      where the eigh route loses digits as 1/(pi - theta).
-
-    Both routes skew-symmetrize the result, so it is exactly skew.
-
-    Raises DomainError when a rotation angle reaches pi (the principal
-    branch boundary); this also catches det(Q) = -1 inputs. Both
-    decisions are made on the Schur route only.
+    Raises DomainError, decided on the block, when a rotation angle
+    reaches pi; this also catches det(Q) = -1, whose eigenvalue -1 always
+    lands in the block.
     """
     Q = _check_square(Q, "Q")
     p = Q.shape[0]
@@ -100,16 +97,20 @@ def logm_so(Q: np.ndarray) -> np.ndarray:
     if defect > tol_struct(p):
         raise ValidationError(f"logm_so: input not orthogonal (defect {defect:.3e})")
     w, V = np.linalg.eigh(0.5 * (Q + Q.T))
-    if w[0] > np.cos(_EIGH_MAX_ANGLE):
-        A = (0.5 * (Q - Q.T)) @ ((V * _theta_over_sin(w)) @ V.T)
-        return 0.5 * (A - A.T)
-    T, Z = scipy.linalg.schur(Q, output="complex")
-    theta = np.angle(np.diagonal(T))
-    if np.max(np.abs(theta)) > np.pi - ANGLE_GUARD:
-        raise DomainError(
-            "logm_so: rotation angle at or near pi, outside principal-log domain"
-        )
-    A = ((Z * (1j * theta)) @ Z.conj().T).real
+    k = np.searchsorted(w, np.cos(_EIGH_MAX_ANGLE) + 1e-10, side="right")
+    if k:
+        k += np.argmax(np.append(np.diff(w[k - 1 :]) >= _SPLIT_GAP, True))
+    Va, Vb = V[:, k:], V[:, :k]
+    A = (0.5 * (Q - Q.T)) @ ((Va * _theta_over_sin(w[k:])) @ Va.T)
+    if k:
+        T, Z = scipy.linalg.schur(Vb.T @ Q @ Vb, output="complex")
+        theta = np.angle(np.diagonal(T))
+        if np.max(np.abs(theta)) > np.pi - ANGLE_GUARD:
+            raise DomainError(
+                "logm_so: rotation angle at or near pi, outside principal-log domain"
+            )
+        W = Vb @ Z
+        A += ((W * (1j * theta)) @ W.conj().T).real
     return 0.5 * (A - A.T)
 
 

@@ -29,8 +29,6 @@ from .core import (
     TangentVector,
     _skew_block,
     canonical_point,
-    check_point,
-    check_tangent,
 )
 from .matfun import DomainError, cay, cay_inv, expm_skew, invsqrtm_spd, logm_so
 
@@ -144,9 +142,13 @@ def chart_at_E(U: StiefelPoint) -> ChartCoordinates:
 
 def param_at_E(c: ChartCoordinates) -> StiefelPoint:
     """Inverse of chart_at_E: pl_ret(E, [A; B]) = [exp(A); B](I + B.T B)^{-1/2}."""
-    A, B = np.asarray(c.A, dtype=float), np.asarray(c.B, dtype=float)
+    A, B = matfun._check_square(c.A, "A"), np.asarray(c.B, dtype=float)
+    if B.ndim != 2 or B.shape[1] != A.shape[0]:
+        raise matfun.ValidationError(f"B must be m-by-{A.shape[0]}, got shape {B.shape}")
+    if not np.all(np.isfinite(B)):
+        raise matfun.ValidationError("B contains non-finite entries")
     E = canonical_point(A.shape[0] + B.shape[0], A.shape[0])
-    return check_point(pl_ret(check_tangent(E, np.vstack([A, B]))).U)
+    return pl_ret(TangentVector(E, np.vstack([A, B])))
 
 
 RetractFn = Callable[[TangentVector], StiefelPoint]

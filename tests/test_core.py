@@ -65,6 +65,20 @@ class TestCheckPoint:
             check_point(U)
 
 
+class TestCheckTangent:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite(self, bad):
+        U0 = rand_point(8, 3, 0)
+        Xi = rand_tangent(U0, 1.0, 1).Xi.copy()
+        Xi[5, 1] = bad
+        with pytest.raises(ValidationError):
+            check_tangent(U0, Xi)
+
+    def test_rejects_all_nan(self):
+        with pytest.raises(ValidationError):
+            check_tangent(rand_point(8, 3, 0), np.full((8, 3), np.nan))
+
+
 class TestProjectTangent:
     def test_tangent_unchanged(self):
         U0 = rand_point(12, 4, 1)

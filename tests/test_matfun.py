@@ -99,39 +99,72 @@ class TestLogmSo:
     @pytest.mark.parametrize("p", [10, 100])
     @pytest.mark.parametrize("delta", [1e-1, 1e-2, 1e-3, 1e-4])
     def test_near_pi(self, p, delta):
-        # Schur route: the eigh route would lose digits as 1/delta here
+        # the plane at pi - delta is logged by complex Schur on its own block;
+        # the eigh formula would lose digits as 1/delta there
         rng = np.random.default_rng(p)
         A = skew_with_largest_angle(np.pi - delta, p, rng)
         assert np.linalg.norm(logm_so(expm_skew(A)) - A) <= 1e-12 * np.sqrt(p)
 
+    def test_near_pi_cluster(self):
+        # five angles pi - j*1e-5: a full-size complex Schur of Q reaches
+        # 3.2e-10 on this input
+        p, delta = 100, 1e-5
+        rng = np.random.default_rng(p)
+        angles = rng.uniform(0.0, np.pi / 2, p // 2)
+        angles[:5] = np.pi - delta * np.arange(1, 6)
+        A = skew_with_angles(angles, p, rng)
+        assert np.linalg.norm(logm_so(expm_skew(A)) - A) <= 3.2e-10
+
     @pytest.mark.parametrize("p", [10, 100])
     def test_near_zero_relative_accuracy(self, p):
-        # every angle in the Taylor branch of the eigh route
+        # every angle in the Taylor branch of the eigh formula
         rng = np.random.default_rng(p + 1)
         A = skew_with_angles(rng.uniform(0.0, 1e-8, p // 2), p, rng)
         err = np.linalg.norm(logm_so(expm_skew(A)) - A)
         assert err <= 1e-12 * np.linalg.norm(A)
 
+    @staticmethod
+    def schur_block_sizes(A, monkeypatch):
+        """Error of logm_so(expm(A)) and the sizes of the blocks it Schur-factors."""
+        sizes = []
+        schur = scipy.linalg.schur
+
+        def recording_schur(M, *args, **kwargs):
+            sizes.append(M.shape[0])
+            return schur(M, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", recording_schur)
+        return np.linalg.norm(logm_so(expm_skew(A)) - A), sizes
+
     @pytest.mark.parametrize("p", [10, 100])
     @pytest.mark.parametrize("side", [-1, 1])
     def test_route_limit(self, p, side, monkeypatch):
-        # largest angle just below (eigh route) or above (Schur route) 2 rad
-        schur_calls = []
-        schur = scipy.linalg.schur
-
-        def counting_schur(*args, **kwargs):
-            schur_calls.append(1)
-            return schur(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+        # largest angle just below 2 rad (no block) or above it (one plane)
         rng = np.random.default_rng(p + 2)
         A = skew_with_largest_angle(2.0 + side * 1e-3, p, rng)
-        assert np.linalg.norm(logm_so(expm_skew(A)) - A) <= 1e-12 * np.sqrt(p)
-        assert len(schur_calls) == (side > 0)
+        err, sizes = self.schur_block_sizes(A, monkeypatch)
+        assert err <= 1e-12 * np.sqrt(p)
+        assert sizes == ([2] if side > 0 else [])
+
+    @pytest.mark.parametrize("p", [10, 100])
+    @pytest.mark.parametrize(
+        "pair",
+        [(2.0, 2.0), (2.0 - 1e-12, 2.0 + 1e-12), (2.0 + 1e-9, 2.0 - 1.7e-8)],
+        ids=["double", "straddle", "close_pair"],
+    )
+    def test_split_at_gap(self, p, pair, monkeypatch):
+        # two angles at or across the 2 rad limit, closer than the split gap:
+        # the block takes both planes whole, and the split costs no accuracy
+        rng = np.random.default_rng(p + 3)
+        angles = rng.uniform(0.0, np.pi / 2, p // 2)
+        angles[:2] = pair
+        err, sizes = self.schur_block_sizes(skew_with_angles(angles, p, rng), monkeypatch)
+        assert err <= 1e-12 * np.sqrt(p)
+        assert sizes == [4]
 
     @pytest.mark.parametrize("theta_max", [1.0, 3.0])
     def test_exactly_skew(self, theta_max):
-        # theta_max = 1 takes the eigh route, 3 the Schur route
+        # theta_max = 3 also takes the Schur block
         rng = np.random.default_rng(9)
         A = logm_so(expm_skew(skew_with_largest_angle(theta_max, 9, rng)))
         assert np.array_equal(A, -A.T)

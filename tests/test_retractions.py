@@ -259,6 +259,22 @@ class TestChartAtE:
         with pytest.raises(ValidationError):
             param_at_E(ChartCoordinates(np.eye(3), np.zeros((5, 3))))
 
+    @pytest.mark.parametrize(
+        "A, B, block",
+        [
+            (np.zeros((3, 3)), np.zeros((5, 4)), "B"),
+            (np.zeros((3, 3)), np.zeros(5), "B"),
+            (np.zeros((3, 2)), np.zeros((5, 2)), "A"),
+            (np.zeros((3, 3)), np.full((5, 3), np.nan), "B"),
+            (np.full((3, 3), np.inf), np.zeros((5, 3)), "A"),
+        ],
+        ids=["B_columns", "B_vector", "A_not_square", "B_nan", "A_inf"],
+    )
+    def test_param_rejects_bad_block(self, A, B, block):
+        # the error is typed and names the offending block
+        with pytest.raises(ValidationError, match=f"^{block} "):
+            param_at_E(ChartCoordinates(A, B))
+
 
 class TestPolarLightCayley:
     def test_zero_tangent(self):
