@@ -31,6 +31,8 @@ DEFAULT_DISTANCE = np.pi / 2
 DEFAULT_STEPS = 51
 DEFAULT_REPEATS = 100
 WARMUP_RUNS = 3
+# Step sizes t at which convergence_slope fits log error against log t.
+_ORDER_T_GRID = np.logspace(-3, -1, 12)
 
 
 @dataclass
@@ -76,27 +78,35 @@ def gen_triple(cfg: ExperimentConfig) -> tuple[StiefelPoint, TangentVector, Stie
     return U0, xi, exp_beta(xi, BETA_EUCLIDEAN)
 
 
+def _deviations(
+    xi: TangentVector,
+    beta: float,
+    curves: dict[str, TangentVector],
+    ts,
+) -> list[dict[str, float]]:
+    """||Exp_beta(t xi) - R_kind(t xi_kind)||_F for each t and each kind.
+
+    The geodesic point at each t is computed once and shared by all kinds.
+    """
+    out = []
+    for t in ts:
+        geo = exp_beta(xi.scaled(t), beta).U
+        out.append({kind: float(np.linalg.norm(geo - RETRACTION_PAIRS[kind][0](x.scaled(t)).U))
+                    for kind, x in curves.items()})
+    return out
+
+
 def error_curve(
     triple: tuple[StiefelPoint, TangentVector, StiefelPoint],
     kinds: tuple[str, ...],
     steps: int = DEFAULT_STEPS,
 ) -> list[ErrorCurveRecord]:
-    """Per-step deviations between the geodesic and each retraction curve.
-
-    The geodesic point at each t is computed once and shared by all kinds.
-    """
+    """Per-step deviations between the geodesic and each retraction curve."""
     U0, xi, U1 = triple
     xi_r = {k: RETRACTION_PAIRS[k][1](U0, U1) for k in kinds}
-    records = []
-    for k in range(steps):
-        t = k / (steps - 1)
-        geo = exp_beta(xi.scaled(t), BETA_EUCLIDEAN).U
-        rec = ErrorCurveRecord(t)
-        for kind in kinds:
-            curve = RETRACTION_PAIRS[kind][0](xi_r[kind].scaled(t)).U
-            rec.errors[kind] = float(np.linalg.norm(geo - curve))
-        records.append(rec)
-    return records
+    ts = [k / (steps - 1) for k in range(steps)]
+    return [ErrorCurveRecord(t, errs)
+            for t, errs in zip(ts, _deviations(xi, BETA_EUCLIDEAN, xi_r, ts))]
 
 
 def max_errors(records: list[ErrorCurveRecord]) -> dict[str, float]:
@@ -107,21 +117,10 @@ def max_errors(records: list[ErrorCurveRecord]) -> dict[str, float]:
     return out
 
 
-def convergence_slope(
-    xi: TangentVector,
-    kind: str,
-    beta: float,
-    t_grid: np.ndarray | None = None,
-) -> float:
+def convergence_slope(xi: TangentVector, kind: str, beta: float) -> float:
     """Least-squares slope of log error vs log t against Exp under the beta metric."""
-    if t_grid is None:
-        t_grid = np.logspace(-3, -1, 12)
-    ret = RETRACTION_PAIRS[kind][0]
-    errs = [
-        np.linalg.norm(ret(xi.scaled(t)).U - exp_beta(xi.scaled(t), beta).U)
-        for t in t_grid
-    ]
-    return float(np.polyfit(np.log(t_grid), np.log(errs), 1)[0])
+    errs = [d[kind] for d in _deviations(xi, beta, {kind: xi}, _ORDER_T_GRID)]
+    return float(np.polyfit(np.log(_ORDER_T_GRID), np.log(errs), 1)[0])
 
 
 def timing_run(cfg: ExperimentConfig, kind: str) -> TimingRecord:

@@ -13,9 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .bench import (
+    DEFAULT_DISTANCE,
     DEFAULT_REPEATS,
     DEFAULT_STEPS,
     ExperimentConfig,
@@ -33,7 +32,7 @@ from .matfun import DomainError, ValidationError
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--n", type=int, default=1000, help="ambient dimension")
     p.add_argument("--p", type=int, default=400, help="frame size")
-    p.add_argument("--dist", type=float, default=np.pi / 2,
+    p.add_argument("--dist", type=float, default=DEFAULT_DISTANCE,
                    help="Frobenius norm of the generating tangent")
     p.add_argument("--steps", type=int, default=DEFAULT_STEPS,
                    help="curve discretization steps")

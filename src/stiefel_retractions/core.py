@@ -14,6 +14,7 @@ import numpy as np
 
 from .matfun import (
     ValidationError,
+    _check_finite,
     expm_skew,
     tol_struct,
 )
@@ -70,8 +71,7 @@ def check_point(U: np.ndarray) -> StiefelPoint:
     n, p = U.shape
     if p > n:
         raise ValidationError(f"need p <= n, got n={n}, p={p}")
-    if not np.all(np.isfinite(U)):
-        raise ValidationError("point contains non-finite entries")
+    _check_finite(U, "point")
     defect = np.linalg.norm(U.T @ U - np.eye(p))
     if defect > tol_struct(p):
         raise ValidationError(
@@ -86,9 +86,7 @@ def _skew_block(base: StiefelPoint, Xi: np.ndarray) -> np.ndarray:
     Raises ValidationError when Xi is not finite, or when U.T Xi has a
     symmetric part above roundoff, i.e. when Xi is not tangent at base.
     """
-    if not np.all(np.isfinite(Xi)):
-        raise ValidationError("tangent contains non-finite entries")
-    A = base.U.T @ Xi
+    A = base.U.T @ _check_finite(Xi, "tangent")
     defect = np.linalg.norm(A + A.T)
     if defect > tol_struct(base.p):
         raise ValidationError(f"U.T Xi not skew-symmetric (defect {defect:.3e})")

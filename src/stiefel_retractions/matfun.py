@@ -40,13 +40,17 @@ def tol_struct(p: int) -> float:
 EPS_SPD = 1e-12
 
 
+def _check_finite(M: np.ndarray, name: str) -> np.ndarray:
+    if not np.all(np.isfinite(M)):
+        raise ValidationError(f"{name} contains non-finite entries")
+    return M
+
+
 def _check_square(M: np.ndarray, name: str) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    return M
+    return _check_finite(M, name)
 
 
 def expm_skew(A: np.ndarray) -> np.ndarray:
@@ -61,18 +65,6 @@ def expm_skew(A: np.ndarray) -> np.ndarray:
     if defect > tol_struct(p):
         raise ValidationError(f"expm_skew: input not skew-symmetric (defect {defect:.3e})")
     return scipy.linalg.expm(A)
-
-
-def _theta_over_sin(c: np.ndarray) -> np.ndarray:
-    """phi(c) = arccos(c) / sqrt(1 - c^2), i.e. theta / sin(theta) at c = cos(theta).
-
-    Below theta = 1e-4 the Taylor branch 1 + theta^2/6 replaces the 0/0 quotient.
-    """
-    c = np.minimum(c, 1.0)
-    theta = np.arccos(c)
-    small = theta < 1e-4
-    sin = np.where(small, 1.0, np.sqrt((1.0 - c) * (1.0 + c)))
-    return np.where(small, 1.0 + theta**2 / 6.0, theta / sin)
 
 
 def logm_so(Q: np.ndarray) -> np.ndarray:
@@ -101,7 +93,9 @@ def logm_so(Q: np.ndarray) -> np.ndarray:
     if k:
         k += np.argmax(np.append(np.diff(w[k - 1 :]) >= _SPLIT_GAP, True))
     Va, Vb = V[:, k:], V[:, :k]
-    A = (0.5 * (Q - Q.T)) @ ((Va * _theta_over_sin(w[k:])) @ Va.T)
+    # phi = theta / sin(theta) at theta = arccos(w); np.sinc is exact at 0
+    phi = 1.0 / np.sinc(np.arccos(np.minimum(w[k:], 1.0)) / np.pi)
+    A = (0.5 * (Q - Q.T)) @ ((Va * phi) @ Va.T)
     if k:
         T, Z = scipy.linalg.schur(Vb.T @ Q @ Vb, output="complex")
         theta = np.angle(np.diagonal(T))

@@ -48,8 +48,8 @@ def _polar(M: np.ndarray) -> StiefelPoint:
 
 
 def pf_ret(xi: TangentVector) -> StiefelPoint:
-    """Polar factor retraction: the polar factor of U + Xi."""
-    return _polar(xi.base.U + xi.Xi)
+    """Polar factor retraction: the polar factor of U + Xi (tangency unchecked)."""
+    return _polar(xi.base.U + matfun._check_finite(xi.Xi, "tangent"))
 
 
 def pf_inv(base: StiefelPoint, U1: StiefelPoint) -> TangentVector:
@@ -145,8 +145,7 @@ def param_at_E(c: ChartCoordinates) -> StiefelPoint:
     A, B = matfun._check_square(c.A, "A"), np.asarray(c.B, dtype=float)
     if B.ndim != 2 or B.shape[1] != A.shape[0]:
         raise matfun.ValidationError(f"B must be m-by-{A.shape[0]}, got shape {B.shape}")
-    if not np.all(np.isfinite(B)):
-        raise matfun.ValidationError("B contains non-finite entries")
+    matfun._check_finite(B, "B")
     E = canonical_point(A.shape[0] + B.shape[0], A.shape[0])
     return pl_ret(TangentVector(E, np.vstack([A, B])))
 

@@ -15,6 +15,7 @@ from stiefel_retractions.bench import (
 )
 from stiefel_retractions.core import BETA_CANONICAL, BETA_EUCLIDEAN, exp_beta
 from stiefel_retractions.matfun import ValidationError
+from stiefel_retractions.retractions import RETRACTION_PAIRS
 
 SMALL = dict(n=40, p=8, seed=3, steps=11)
 
@@ -78,6 +79,32 @@ class TestConvergenceSlope:
     def test_first_order_canonical(self):
         _, xi, _ = gen_triple(ExperimentConfig(**SMALL))
         assert 1.8 < convergence_slope(xi, "pl", BETA_CANONICAL) < 2.4
+
+
+class TestDeviationReference:
+    """error_curve and convergence_slope against a direct per-t loop, bitwise."""
+
+    def test_error_curve(self):
+        kinds = ("pf", "pl", "pl_cayley")
+        U0, xi, U1 = triple = gen_triple(ExperimentConfig(**SMALL))
+        xi_r = {kind: RETRACTION_PAIRS[kind][1](U0, U1) for kind in kinds}
+        records = error_curve(triple, kinds, 11)
+        assert [rec.t for rec in records] == [k / 10 for k in range(11)]
+        for rec in records:
+            geo = exp_beta(xi.scaled(rec.t), BETA_EUCLIDEAN).U
+            for kind in kinds:
+                curve = RETRACTION_PAIRS[kind][0](xi_r[kind].scaled(rec.t)).U
+                assert rec.errors[kind] == np.linalg.norm(geo - curve)
+
+    @pytest.mark.parametrize("kind", ["pf", "pl", "pl_cayley"])
+    @pytest.mark.parametrize("beta", [BETA_CANONICAL, BETA_EUCLIDEAN])
+    def test_convergence_slope(self, kind, beta):
+        _, xi, _ = gen_triple(ExperimentConfig(**SMALL))
+        ret = RETRACTION_PAIRS[kind][0]
+        ts = np.logspace(-3, -1, 12)
+        errs = [np.linalg.norm(ret(xi.scaled(t)).U - exp_beta(xi.scaled(t), beta).U)
+                for t in ts]
+        assert convergence_slope(xi, kind, beta) == np.polyfit(np.log(ts), np.log(errs), 1)[0]
 
 
 class TestTiming:

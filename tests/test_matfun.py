@@ -117,9 +117,18 @@ class TestLogmSo:
 
     @pytest.mark.parametrize("p", [10, 100])
     def test_near_zero_relative_accuracy(self, p):
-        # every angle in the Taylor branch of the eigh formula
+        # every angle so small that theta/sin(theta) rounds to 1; sinc is exact at 0
         rng = np.random.default_rng(p + 1)
         A = skew_with_angles(rng.uniform(0.0, 1e-8, p // 2), p, rng)
+        err = np.linalg.norm(logm_so(expm_skew(A)) - A)
+        assert err <= 1e-12 * np.linalg.norm(A)
+
+    @pytest.mark.parametrize("p", [10, 100])
+    def test_small_angle_relative_accuracy(self, p):
+        # angles log-uniform in [1e-5, 1e-3], on both sides of 1e-4, where a
+        # Taylor branch for theta/sin(theta) would take over
+        rng = np.random.default_rng(p + 2)
+        A = skew_with_angles(10.0 ** rng.uniform(-5.0, -3.0, p // 2), p, rng)
         err = np.linalg.norm(logm_so(expm_skew(A)) - A)
         assert err <= 1e-12 * np.linalg.norm(A)
 

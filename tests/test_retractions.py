@@ -376,3 +376,12 @@ class TestSharedInvariants:
         U0 = rand_point(20, 4, 0)
         with pytest.raises(ValidationError, match="not skew"):
             retract(TangentVector(U0, U0.U * [0.3, 0.1, 0.0, 0.2]))
+
+    @pytest.mark.parametrize("retract", [pf_ret, pl_ret, pl_cay_ret, exp_beta],
+                             ids=lambda f: f.__name__)
+    def test_rejects_non_finite_tangent(self, retract):
+        U0 = rand_point(8, 3, 0)
+        Xi = rand_tangent(U0, 1.0, 1).Xi
+        Xi[2, 1] = np.nan
+        with pytest.raises(ValidationError, match="^tangent contains non-finite"):
+            retract(TangentVector(U0, Xi))
