@@ -17,6 +17,7 @@ from stiefel_retractions import BETA_CANONICAL, BETA_EUCLIDEAN
 from stiefel_retractions.bench import (
     ExperimentConfig,
     convergence_slope,
+    convergence_slopes,
     error_curve,
     gen_triple,
     max_errors,
@@ -38,8 +39,7 @@ for rec in records[:: len(records) // 10]:
 
 _, xi, _ = gen_triple(ExperimentConfig(n=100, p=20, seed=1, kinds=cfg.kinds))
 print("\nconvergence order vs Exp (log-log slope over t in [1e-3, 1e-1]):")
-for kind in cfg.kinds:
-    s = convergence_slope(xi, kind, BETA_EUCLIDEAN)
+for kind, s in convergence_slopes(xi, cfg.kinds, BETA_EUCLIDEAN).items():
     print(f"  {kind:10s} beta=1   slope {s:.3f}  (second order)")
 s = convergence_slope(xi, "pl", BETA_CANONICAL)
 print(f"  {'pl':10s} beta=1/2 slope {s:.3f}  (first order only)")

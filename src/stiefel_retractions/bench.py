@@ -20,6 +20,7 @@ from .core import (
     BETA_EUCLIDEAN,
     StiefelPoint,
     TangentVector,
+    _geodesic,
     exp_beta,
     rand_point,
     rand_tangent,
@@ -46,12 +47,16 @@ class ExperimentConfig:
     repeats: int = DEFAULT_REPEATS
 
     def __post_init__(self):
+        if self.n < 1 or self.p < 1:
+            raise ValidationError(f"need n >= 1 and p >= 1, got n={self.n}, p={self.p}")
         if self.p > self.n:
             raise ValidationError(f"need p <= n, got n={self.n}, p={self.p}")
         if self.steps < 2:
             raise ValidationError("steps must be >= 2")
-        if self.distance < 0:
-            raise ValidationError("distance must be nonnegative")
+        if self.repeats < 1:
+            raise ValidationError("repeats must be >= 1")
+        if not (np.isfinite(self.distance) and self.distance >= 0):
+            raise ValidationError(f"distance must be finite and nonnegative, got {self.distance}")
         unknown = [k for k in self.kinds if k not in RETRACTION_PAIRS]
         if unknown:
             raise ValidationError(f"unknown retraction kinds: {unknown}")
@@ -86,13 +91,23 @@ def _deviations(
 ) -> list[dict[str, float]]:
     """||Exp_beta(t xi) - R_kind(t xi_kind)||_F for each t and each kind.
 
-    The geodesic point at each t is computed once and shared by all kinds.
+    Every curve tangent must lie in span [U, Xi], as xi does and as every
+    inverse retraction of (U, Exp(xi)) does. With F from the reduced QR
+    of [U, Xi] (n-by-min(n, 2p), orthonormal whatever the rank), both
+    curves are F times the same curves at F.T U, and the retractions
+    commute with F. So the QR and the products with F.T are the only
+    n-sized work; the geodesic is factored once and each t costs
+    2p-by-p work.
     """
+    F = np.linalg.qr(np.hstack([xi.base.U, xi.Xi]))[0]
+    base = StiefelPoint(F.T @ xi.base.U)
+    geodesic = _geodesic(TangentVector(base, F.T @ xi.Xi), beta)
+    coords = {kind: TangentVector(base, F.T @ x.Xi) for kind, x in curves.items()}
     out = []
     for t in ts:
-        geo = exp_beta(xi.scaled(t), beta).U
+        geo = geodesic(t)
         out.append({kind: float(np.linalg.norm(geo - RETRACTION_PAIRS[kind][0](x.scaled(t)).U))
-                    for kind, x in curves.items()})
+                    for kind, x in coords.items()})
     return out
 
 
@@ -117,10 +132,17 @@ def max_errors(records: list[ErrorCurveRecord]) -> dict[str, float]:
     return out
 
 
+def convergence_slopes(xi: TangentVector, kinds: tuple[str, ...], beta: float) -> dict[str, float]:
+    """Least-squares slope of log error vs log t against Exp under the beta metric, per kind."""
+    devs = _deviations(xi, beta, {kind: xi for kind in kinds}, _ORDER_T_GRID)
+    log_t = np.log(_ORDER_T_GRID)
+    return {kind: float(np.polyfit(log_t, np.log([d[kind] for d in devs]), 1)[0])
+            for kind in kinds}
+
+
 def convergence_slope(xi: TangentVector, kind: str, beta: float) -> float:
-    """Least-squares slope of log error vs log t against Exp under the beta metric."""
-    errs = [d[kind] for d in _deviations(xi, beta, {kind: xi}, _ORDER_T_GRID)]
-    return float(np.polyfit(np.log(_ORDER_T_GRID), np.log(errs), 1)[0])
+    """convergence_slopes for one kind."""
+    return convergence_slopes(xi, (kind,), beta)[kind]
 
 
 def timing_run(cfg: ExperimentConfig, kind: str) -> TimingRecord:

@@ -18,7 +18,7 @@ from .bench import (
     DEFAULT_REPEATS,
     DEFAULT_STEPS,
     ExperimentConfig,
-    convergence_slope,
+    convergence_slopes,
     emit_report,
     error_curve,
     gen_triple,
@@ -66,11 +66,10 @@ def _run_curve(cfg: ExperimentConfig):
 
 def _run_order(cfg: ExperimentConfig):
     _, xi, _ = gen_triple(cfg)
-    slopes = {}
-    for kind in cfg.kinds:
-        slopes[(kind, BETA_EUCLIDEAN)] = convergence_slope(xi, kind, BETA_EUCLIDEAN)
+    slopes = {(kind, BETA_EUCLIDEAN): slope
+              for kind, slope in convergence_slopes(xi, cfg.kinds, BETA_EUCLIDEAN).items()}
     if "pl" in cfg.kinds:
-        slopes[("pl", BETA_CANONICAL)] = convergence_slope(xi, "pl", BETA_CANONICAL)
+        slopes[("pl", BETA_CANONICAL)] = convergence_slopes(xi, ("pl",), BETA_CANONICAL)["pl"]
     return slopes
 
 

@@ -9,6 +9,7 @@ writing Xi = U A + U_perp B, the p-by-p skew block A and the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -162,6 +163,21 @@ def inner(xi: TangentVector, eta: TangentVector, beta: float = BETA_EUCLIDEAN) -
     return float(np.sum(xi.Xi * eta.Xi)) + (beta - 1.0) * float(np.sum(Ax * Ay))
 
 
+def _geodesic_blocks(xi: TangentVector, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A = U.T Xi, Q and L = [[2 beta A, -R.T], [R, 0]], with Q R = Xi - U A.
+
+    For every t, Exp_beta(t xi) = [U Q] exp(t L)[:, :p] exp(t (1 - 2 beta) A).
+    """
+    if beta <= 0:
+        raise ValidationError("beta must be positive")
+    U = xi.base.U
+    p = xi.base.p
+    A = _skew_block(xi.base, xi.Xi)
+    Q, R = np.linalg.qr(xi.Xi - U @ A)
+    L = np.block([[2.0 * beta * A, -R.T], [R, np.zeros((p, p))]])
+    return A, Q, L
+
+
 def exp_beta(xi: TangentVector, beta: float = BETA_EUCLIDEAN) -> StiefelPoint:
     """Riemannian exponential for the one-parameter metric family.
 
@@ -171,13 +187,42 @@ def exp_beta(xi: TangentVector, beta: float = BETA_EUCLIDEAN) -> StiefelPoint:
     by exp((1 - 2 beta) A). Defined on the whole tangent space; raises
     ValidationError when Xi is not tangent.
     """
-    if beta <= 0:
-        raise ValidationError("beta must be positive")
+    A, Q, L = _geodesic_blocks(xi, beta)
     U = xi.base.U
     p = xi.base.p
-    A = _skew_block(xi.base, xi.Xi)
-    Q, R = np.linalg.qr(xi.Xi - U @ A)
-    L = np.block([[2.0 * beta * A, -R.T], [R, np.zeros((p, p))]])
     W = expm_skew(L)
     out = (U @ W[:p, :p] + Q @ W[p:, :p]) @ expm_skew((1.0 - 2.0 * beta) * A)
     return StiefelPoint(out)
+
+
+def _skew_flow(S: np.ndarray, k: int) -> Callable[[float], np.ndarray]:
+    """t -> exp(t S)[:, :k] for a real skew S, from one Hermitian eigh of i S.
+
+    With i S = V diag(lam) V^H, exp(t S) = Re(V diag(exp(-i t lam)) V^H).
+    """
+    lam, V = np.linalg.eigh(1j * S)
+    V_top = V[:k].conj().T
+    return lambda t: ((V * np.exp(-1j * t * lam)) @ V_top).real
+
+
+def _geodesic(xi: TangentVector, beta: float) -> Callable[[float], np.ndarray]:
+    """t -> Exp_beta(t xi) as an n-by-p array, factored once for all t.
+
+    exp_beta's blocks are formed once, with one eigh of the 2p-by-2p i L
+    and one of i (1 - 2 beta) A (none at beta = 1/2, where that factor is
+    I). Each t then costs products of p- and 2p-sized matrices and one
+    n-by-2p times 2p-by-p product.
+    """
+    A, Q, L = _geodesic_blocks(xi, beta)
+    p = xi.base.p
+    basis = np.hstack([xi.base.U, Q])
+    head = _skew_flow(L, p)
+    twist = None if beta == BETA_CANONICAL else _skew_flow((1.0 - 2.0 * beta) * A, p)
+
+    def at(t: float) -> np.ndarray:
+        coef = head(t)
+        if twist is not None:
+            coef = coef @ twist(t)
+        return basis @ coef
+
+    return at

@@ -6,6 +6,7 @@ import pytest
 from stiefel_retractions.bench import (
     ExperimentConfig,
     convergence_slope,
+    convergence_slopes,
     emit_report,
     error_curve,
     gen_triple,
@@ -13,11 +14,52 @@ from stiefel_retractions.bench import (
     timing_run,
     write_curve_csv,
 )
-from stiefel_retractions.core import BETA_CANONICAL, BETA_EUCLIDEAN, exp_beta
+from stiefel_retractions.core import (
+    BETA_CANONICAL,
+    BETA_EUCLIDEAN,
+    TangentVector,
+    exp_beta,
+    rand_point,
+)
 from stiefel_retractions.matfun import ValidationError
 from stiefel_retractions.retractions import RETRACTION_PAIRS
 
 SMALL = dict(n=40, p=8, seed=3, steps=11)
+KINDS = ("pf", "pl", "pl_cayley")
+# error_curve and convergence_slope work in a 2p-dimensional frame, which
+# changes only their rounding: against the full-size reference below the
+# deviations differ by at most ~1.2e-14 and the slopes by ~1.2e-6.
+DEVIATION_TOL = 1e-13
+SLOPE_TOL = 1e-5
+
+
+def reference_curve(triple, kinds, steps):
+    """Deviations from per-t exp_beta and full n-by-p retractions."""
+    U0, xi, U1 = triple
+    xi_r = {kind: RETRACTION_PAIRS[kind][1](U0, U1) for kind in kinds}
+    out = []
+    for t in (k / (steps - 1) for k in range(steps)):
+        geo = exp_beta(xi.scaled(t), BETA_EUCLIDEAN).U
+        out.append({kind: np.linalg.norm(geo - RETRACTION_PAIRS[kind][0](xi_r[kind].scaled(t)).U)
+                    for kind in kinds})
+    return out
+
+
+def reference_slope(xi, kind, beta):
+    """convergence_slope from per-t exp_beta and a full n-by-p retraction."""
+    ret = RETRACTION_PAIRS[kind][0]
+    ts = np.logspace(-3, -1, 12)
+    errs = [np.linalg.norm(ret(xi.scaled(t)).U - exp_beta(xi.scaled(t), beta).U)
+            for t in ts]
+    return np.polyfit(np.log(ts), np.log(errs), 1)[0]
+
+
+def assert_matches_reference(triple, kinds, steps):
+    records = error_curve(triple, kinds, steps)
+    assert [rec.t for rec in records] == [k / (steps - 1) for k in range(steps)]
+    for rec, ref in zip(records, reference_curve(triple, kinds, steps), strict=True):
+        for kind in kinds:
+            assert abs(rec.errors[kind] - ref[kind]) <= DEVIATION_TOL
 
 
 class TestConfig:
@@ -32,6 +74,20 @@ class TestConfig:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValidationError):
             ExperimentConfig(n=10, p=2, kinds=("qr",))
+
+    @pytest.mark.parametrize("n,p", [(30, 0), (0, 0), (-1, -2)])
+    def test_rejects_nonpositive_dims(self, n, p):
+        with pytest.raises(ValidationError, match="n >= 1 and p >= 1"):
+            ExperimentConfig(n=n, p=p)
+
+    def test_rejects_zero_repeats(self):
+        with pytest.raises(ValidationError, match="repeats"):
+            ExperimentConfig(n=10, p=2, repeats=0)
+
+    @pytest.mark.parametrize("distance", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_distance(self, distance):
+        with pytest.raises(ValidationError, match="distance"):
+            ExperimentConfig(n=10, p=2, distance=distance)
 
 
 class TestGenTriple:
@@ -82,29 +138,46 @@ class TestConvergenceSlope:
 
 
 class TestDeviationReference:
-    """error_curve and convergence_slope against a direct per-t loop, bitwise."""
+    """error_curve and convergence_slope against a direct full-size per-t loop."""
 
     def test_error_curve(self):
-        kinds = ("pf", "pl", "pl_cayley")
-        U0, xi, U1 = triple = gen_triple(ExperimentConfig(**SMALL))
-        xi_r = {kind: RETRACTION_PAIRS[kind][1](U0, U1) for kind in kinds}
-        records = error_curve(triple, kinds, 11)
-        assert [rec.t for rec in records] == [k / 10 for k in range(11)]
-        for rec in records:
-            geo = exp_beta(xi.scaled(rec.t), BETA_EUCLIDEAN).U
-            for kind in kinds:
-                curve = RETRACTION_PAIRS[kind][0](xi_r[kind].scaled(rec.t)).U
-                assert rec.errors[kind] == np.linalg.norm(geo - curve)
+        assert_matches_reference(gen_triple(ExperimentConfig(**SMALL)), KINDS, 11)
 
     @pytest.mark.parametrize("kind", ["pf", "pl", "pl_cayley"])
     @pytest.mark.parametrize("beta", [BETA_CANONICAL, BETA_EUCLIDEAN])
     def test_convergence_slope(self, kind, beta):
         _, xi, _ = gen_triple(ExperimentConfig(**SMALL))
-        ret = RETRACTION_PAIRS[kind][0]
-        ts = np.logspace(-3, -1, 12)
-        errs = [np.linalg.norm(ret(xi.scaled(t)).U - exp_beta(xi.scaled(t), beta).U)
-                for t in ts]
-        assert convergence_slope(xi, kind, beta) == np.polyfit(np.log(ts), np.log(errs), 1)[0]
+        assert abs(convergence_slope(xi, kind, beta) - reference_slope(xi, kind, beta)) <= SLOPE_TOL
+
+
+class TestFrame:
+    """The 2p-dimensional frame where it is square or rank-deficient."""
+
+    def test_error_curve_n_below_2p(self):
+        # [U, Xi] is 12-by-16: the frame is square, and [U Q] would not be orthonormal
+        assert_matches_reference(gen_triple(ExperimentConfig(n=12, p=8, seed=0)), KINDS, 11)
+
+    @pytest.mark.parametrize("kind", ["pf", "pl", "pl_cayley"])
+    @pytest.mark.parametrize("beta", [BETA_CANONICAL, BETA_EUCLIDEAN])
+    def test_convergence_slope_n_below_2p(self, kind, beta):
+        _, xi, _ = gen_triple(ExperimentConfig(n=12, p=8, seed=0))
+        assert abs(convergence_slope(xi, kind, beta) - reference_slope(xi, kind, beta)) <= SLOPE_TOL
+
+    def test_error_curve_zero_distance(self):
+        assert_matches_reference(gen_triple(ExperimentConfig(n=20, p=4, distance=0.0)), KINDS, 5)
+
+    def test_convergence_slopes_match_single_kind(self):
+        _, xi, _ = gen_triple(ExperimentConfig(**SMALL))
+        for beta in (BETA_CANONICAL, BETA_EUCLIDEAN):
+            slopes = convergence_slopes(xi, KINDS, beta)
+            assert list(slopes) == list(KINDS)
+            assert slopes == {kind: convergence_slope(xi, kind, beta) for kind in KINDS}
+
+    def test_rejects_non_tangent(self):
+        U0 = rand_point(20, 4, 0)
+        xi = TangentVector(U0, U0.U @ np.diag([0.3, 0.1, 0.0, 0.2]))
+        with pytest.raises(ValidationError, match="not skew-symmetric"):
+            error_curve((U0, xi, U0), KINDS, 5)
 
 
 class TestTiming:

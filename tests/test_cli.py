@@ -1,5 +1,8 @@
 import csv
 
+import pytest
+
+from stiefel_retractions import bench
 from stiefel_retractions.cli import main
 
 SMALL_ARGS = ["--n", "40", "--p", "8", "--steps", "11", "--seed", "3"]
@@ -48,3 +51,27 @@ def test_invalid_kind_exits_nonzero(tmp_path, capsys):
 
 def test_invalid_dims_exit_nonzero(tmp_path):
     assert main(["curve", "--n", "4", "--p", "8", "--out", str(tmp_path / "x")]) == 1
+
+
+@pytest.mark.parametrize("command,args,message", [
+    ("curve", ["--n", "30", "--p", "0"], "need n >= 1 and p >= 1"),
+    ("timing", ["--n", "30", "--p", "3", "--repeats", "0"], "repeats must be >= 1"),
+    ("curve", ["--n", "30", "--p", "3", "--dist", "nan"], "distance must be finite"),
+], ids=["p0", "repeats0", "dist_nan"])
+def test_invalid_sizes_exit_one(tmp_path, capsys, command, args, message):
+    assert main([command, *args, "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "x").exists()
+
+
+def test_order_factors_each_geodesic_once(tmp_path, monkeypatch):
+    # one frame and one geodesic factorization per beta, shared by all kinds
+    calls = {"_deviations": 0, "_geodesic": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(bench, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(bench, name, counted)
+    assert main(["order", *SMALL_ARGS, "--kinds", "pf,pl,pl_cayley",
+                 "--out", str(tmp_path / "run")]) == 0
+    assert calls == {"_deviations": 2, "_geodesic": 2}

@@ -6,6 +6,7 @@ from stiefel_retractions.core import (
     BETA_CANONICAL,
     BETA_EUCLIDEAN,
     TangentVector,
+    _geodesic,
     canonical_point,
     check_point,
     check_tangent,
@@ -248,3 +249,20 @@ class TestExpBeta:
         U0 = rand_point(6, 2, 0)
         with pytest.raises(ValidationError):
             exp_beta(rand_tangent(U0, 1.0, 1), beta=0.0)
+
+
+class TestFactoredGeodesic:
+    @pytest.mark.parametrize("n,p", [(30, 6), (10, 7)])
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 1.0, 1.6])
+    def test_matches_exp_beta(self, n, p, beta):
+        U0 = rand_point(n, p, n)
+        xi = rand_tangent(U0, 1.4, p)
+        geodesic = _geodesic(xi, beta)
+        for t in (0.0, 1e-3, 0.5, 1.0):
+            err = np.linalg.norm(geodesic(t) - exp_beta(xi.scaled(t), beta).U)
+            assert err <= 1e-13 * np.sqrt(p), (t, err)
+
+    def test_rejects_non_tangent(self):
+        U0 = rand_point(20, 4, 0)
+        with pytest.raises(ValidationError, match="not skew-symmetric"):
+            _geodesic(TangentVector(U0, U0.U @ np.diag([0.3, 0.1, 0.0, 0.2])), 1.0)
