@@ -20,6 +20,7 @@ from .core import (
     BETA_EUCLIDEAN,
     StiefelPoint,
     TangentVector,
+    _check_sizes,
     _geodesic,
     exp_beta,
     rand_point,
@@ -32,7 +33,7 @@ DEFAULT_DISTANCE = np.pi / 2
 DEFAULT_STEPS = 51
 DEFAULT_REPEATS = 100
 WARMUP_RUNS = 3
-# Step sizes t at which convergence_slope fits log error against log t.
+# Step sizes t at which convergence_slopes fits log error against log t.
 _ORDER_T_GRID = np.logspace(-3, -1, 12)
 
 
@@ -47,10 +48,7 @@ class ExperimentConfig:
     repeats: int = DEFAULT_REPEATS
 
     def __post_init__(self):
-        if self.n < 1 or self.p < 1:
-            raise ValidationError(f"need n >= 1 and p >= 1, got n={self.n}, p={self.p}")
-        if self.p > self.n:
-            raise ValidationError(f"need p <= n, got n={self.n}, p={self.p}")
+        _check_sizes(self.n, self.p)
         if self.steps < 2:
             raise ValidationError("steps must be >= 2")
         if self.repeats < 1:

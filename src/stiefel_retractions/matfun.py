@@ -1,6 +1,6 @@
 """Dense matrix functions on small square matrices.
 
-Everything here operates on p-by-p (or 2p-by-2p) arrays; the manifold
+Everything here operates on p-by-p arrays; the manifold
 routines reduce their work to these kernels plus tall-skinny matrix
 products. All functions are pure and validate their structural
 preconditions (skewness, orthogonality, positive definiteness) before
@@ -56,8 +56,10 @@ def _check_square(M: np.ndarray, name: str) -> np.ndarray:
 def expm_skew(A: np.ndarray) -> np.ndarray:
     """Exponential of a skew-symmetric matrix; the result is in SO(p).
 
-    Uses scaling-and-squaring on the skew input; the output is returned
-    as computed, without re-orthogonalization.
+    Uses Pade scaling-and-squaring on the skew input; the output is
+    returned as computed, without re-orthogonalization. Its output feeds
+    logm_so roundtrips near pi, where the real eigh form of the geodesic
+    flow in core is less accurate.
     """
     A = _check_square(A, "A")
     p = A.shape[0]

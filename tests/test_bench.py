@@ -24,6 +24,8 @@ from stiefel_retractions.core import (
 from stiefel_retractions.matfun import ValidationError
 from stiefel_retractions.retractions import RETRACTION_PAIRS
 
+from test_core import exp_beta_full_completion
+
 SMALL = dict(n=40, p=8, seed=3, steps=11)
 KINDS = ("pf", "pl", "pl_cayley")
 # error_curve and convergence_slope work in a 2p-dimensional frame, which
@@ -34,22 +36,23 @@ SLOPE_TOL = 1e-5
 
 
 def reference_curve(triple, kinds, steps):
-    """Deviations from per-t exp_beta and full n-by-p retractions."""
+    """Deviations from the per-t full-completion expm geodesic and full n-by-p retractions."""
     U0, xi, U1 = triple
     xi_r = {kind: RETRACTION_PAIRS[kind][1](U0, U1) for kind in kinds}
     out = []
     for t in (k / (steps - 1) for k in range(steps)):
-        geo = exp_beta(xi.scaled(t), BETA_EUCLIDEAN).U
+        geo = exp_beta_full_completion(U0.U, t * xi.Xi, BETA_EUCLIDEAN)
         out.append({kind: np.linalg.norm(geo - RETRACTION_PAIRS[kind][0](xi_r[kind].scaled(t)).U)
                     for kind in kinds})
     return out
 
 
 def reference_slope(xi, kind, beta):
-    """convergence_slope from per-t exp_beta and a full n-by-p retraction."""
+    """convergence_slope from the per-t full-completion expm geodesic and full retractions."""
     ret = RETRACTION_PAIRS[kind][0]
     ts = np.logspace(-3, -1, 12)
-    errs = [np.linalg.norm(ret(xi.scaled(t)).U - exp_beta(xi.scaled(t), beta).U)
+    U = xi.base.U
+    errs = [np.linalg.norm(ret(xi.scaled(t)).U - exp_beta_full_completion(U, t * xi.Xi, beta))
             for t in ts]
     return np.polyfit(np.log(ts), np.log(errs), 1)[0]
 
@@ -135,6 +138,14 @@ class TestConvergenceSlope:
     def test_first_order_canonical(self):
         _, xi, _ = gen_triple(ExperimentConfig(**SMALL))
         assert 1.8 < convergence_slope(xi, "pl", BETA_CANONICAL) < 2.4
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_beta(self, beta):
+        _, xi, _ = gen_triple(ExperimentConfig(**SMALL))
+        with pytest.raises(ValidationError, match="beta must be positive and finite"):
+            convergence_slope(xi, "pl", beta)
+        with pytest.raises(ValidationError, match="beta must be positive and finite"):
+            convergence_slopes(xi, KINDS, beta)
 
 
 class TestDeviationReference:

@@ -7,6 +7,7 @@ from stiefel_retractions.core import (
     BETA_EUCLIDEAN,
     TangentVector,
     _geodesic,
+    _skew_flow,
     canonical_point,
     check_point,
     check_tangent,
@@ -54,6 +55,11 @@ class TestCheckPoint:
         rng = np.random.default_rng(0)
         Q = np.linalg.qr(rng.standard_normal((20, 6)))[0]
         assert check_point(Q).p == 6
+
+    @pytest.mark.parametrize("n,p", [(2, 3), (0, 0), (3, 0), (3, -1)])
+    def test_canonical_point_rejects_bad_sizes(self, n, p):
+        with pytest.raises(ValidationError, match="need "):
+            canonical_point(n, p)
 
     def test_rejects_p_greater_n(self):
         with pytest.raises(ValidationError):
@@ -125,6 +131,16 @@ class TestRandom:
         U0 = rand_point(8, 2, 0)
         assert rand_tangent(U0, 0.0, 1).norm == 0.0
 
+    @pytest.mark.parametrize("n,p", [(2, 3), (0, 0), (3, 0), (3, -1)])
+    def test_point_rejects_bad_sizes(self, n, p):
+        with pytest.raises(ValidationError, match="need "):
+            rand_point(n, p, 0)
+
+    @pytest.mark.parametrize("norm_target", [-1.0, np.nan, np.inf])
+    def test_tangent_rejects_bad_norm(self, norm_target):
+        with pytest.raises(ValidationError, match="norm_target"):
+            rand_tangent(rand_point(8, 2, 0), norm_target, 1)
+
 
 class TestInner:
     def test_horizontal_metrics_agree(self):
@@ -166,7 +182,7 @@ class TestInner:
     def test_nonpositive_beta_rejected(self):
         U0 = rand_point(10, 3, 0)
         xi = rand_tangent(U0, 1.0, 1)
-        for beta in (0.0, -0.5):
+        for beta in (0.0, -0.5, np.nan, np.inf):
             with pytest.raises(ValidationError, match="beta must be positive"):
                 inner(xi, xi, beta)
 
@@ -246,9 +262,10 @@ class TestExpBeta:
         assert np.linalg.norm(exp_beta(xi, beta).U - full) < 1e-12
 
     def test_rejects_nonpositive_beta(self):
-        U0 = rand_point(6, 2, 0)
-        with pytest.raises(ValidationError):
-            exp_beta(rand_tangent(U0, 1.0, 1), beta=0.0)
+        xi = rand_tangent(rand_point(6, 2, 0), 1.0, 1)
+        for beta in (0.0, np.nan, np.inf):
+            with pytest.raises(ValidationError, match="beta must be positive"):
+                exp_beta(xi, beta=beta)
 
 
 class TestFactoredGeodesic:
@@ -259,8 +276,24 @@ class TestFactoredGeodesic:
         xi = rand_tangent(U0, 1.4, p)
         geodesic = _geodesic(xi, beta)
         for t in (0.0, 1e-3, 0.5, 1.0):
-            err = np.linalg.norm(geodesic(t) - exp_beta(xi.scaled(t), beta).U)
+            err = np.linalg.norm(geodesic(t) - exp_beta_full_completion(U0.U, t * xi.Xi, beta))
             assert err <= 1e-13 * np.sqrt(p), (t, err)
+
+    @pytest.mark.parametrize("m,k", [(2, 1), (12, 6), (40, 20)])
+    def test_flow_increment_relative_accuracy(self, m, k):
+        # exp(t S) - I is O(t): the flow must keep its relative accuracy as t -> 0
+        rng = np.random.default_rng(m)
+        S = rng.standard_normal((m, m))
+        S = S - S.T
+        flow = _skew_flow(S, k)
+        eye = np.eye(m, k)
+        for t in (1e-8, 1e-5, 1e-3, 1.0):
+            ref = scipy.linalg.expm(t * S)[:, :k] - eye
+            err = np.linalg.norm(flow(t) - eye - ref) / np.linalg.norm(ref)
+            assert err <= 1e-12, (t, err)
+
+    def test_flow_of_zero_is_identity(self):
+        assert np.array_equal(_skew_flow(np.zeros((5, 5)), 3)(0.7), np.eye(5, 3))
 
     def test_rejects_non_tangent(self):
         U0 = rand_point(20, 4, 0)
