@@ -55,6 +55,8 @@ class ExperimentConfig:
             raise ValidationError("repeats must be >= 1")
         if not (np.isfinite(self.distance) and self.distance >= 0):
             raise ValidationError(f"distance must be finite and nonnegative, got {self.distance}")
+        if not self.kinds:
+            raise ValidationError("kinds must name at least one retraction")
         unknown = [k for k in self.kinds if k not in RETRACTION_PAIRS]
         if unknown:
             raise ValidationError(f"unknown retraction kinds: {unknown}")

@@ -78,6 +78,10 @@ class TestConfig:
         with pytest.raises(ValidationError):
             ExperimentConfig(n=10, p=2, kinds=("qr",))
 
+    def test_rejects_empty_kinds(self):
+        with pytest.raises(ValidationError, match="kinds must name at least one"):
+            ExperimentConfig(n=10, p=2, kinds=())
+
     @pytest.mark.parametrize("n,p", [(30, 0), (0, 0), (-1, -2)])
     def test_rejects_nonpositive_dims(self, n, p):
         with pytest.raises(ValidationError, match="n >= 1 and p >= 1"):

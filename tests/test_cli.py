@@ -57,7 +57,9 @@ def test_invalid_dims_exit_nonzero(tmp_path):
     ("curve", ["--n", "30", "--p", "0"], "need n >= 1 and p >= 1"),
     ("timing", ["--n", "30", "--p", "3", "--repeats", "0"], "repeats must be >= 1"),
     ("curve", ["--n", "30", "--p", "3", "--dist", "nan"], "distance must be finite"),
-], ids=["p0", "repeats0", "dist_nan"])
+    ("curve", ["--n", "30", "--p", "3", "--kinds", ","], "kinds must name at least one"),
+    ("timing", ["--n", "30", "--p", "3", "--kinds", ""], "kinds must name at least one"),
+], ids=["p0", "repeats0", "dist_nan", "kinds_comma", "kinds_empty"])
 def test_invalid_sizes_exit_one(tmp_path, capsys, command, args, message):
     assert main([command, *args, "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from stiefel_retractions import matfun
 from stiefel_retractions.matfun import (
     DomainError,
     ValidationError,
@@ -243,6 +244,45 @@ def near_defective(p, eps, rng):
     return Q @ J @ Q.T
 
 
+def complex_pair_matrix(p, rng):
+    """Q (D + N) Q.T with D block diagonal: 2-by-2 blocks [[a, b], [-b, a]]
+    (a in [0.5, 1.5], b in [0.3, 1]) and, for odd p, one real a; N small
+    and strictly block upper triangular. Every pair sum has real part >= 1.
+    """
+    D = np.zeros((p, p))
+    for k in range(0, p - 1, 2):
+        a, b = rng.uniform(0.5, 1.5), rng.uniform(0.3, 1.0)
+        D[k : k + 2, k : k + 2] = [[a, b], [-b, a]]
+    if p % 2:
+        D[-1, -1] = rng.uniform(0.5, 1.5)
+    N = 0.2 * np.triu(rng.standard_normal((p, p)), 2)
+    Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    return Q @ (D + N) @ Q.T
+
+
+def pf_overlap(n, p, dist, rng):
+    """C = U0.T U1 for U1 the polar factor retraction of a tangent of norm dist."""
+    G = np.linalg.qr(rng.standard_normal((n, p)))[0]
+    Z = rng.standard_normal((n, p))
+    M = G.T @ Z
+    Xi = Z - G @ (0.5 * (M + M.T))
+    Xi *= dist / np.linalg.norm(Xi)
+    w, V = np.linalg.eigh(np.eye(p) + Xi.T @ Xi)
+    return G.T @ ((G + Xi) @ ((V * w**-0.5) @ V.T))
+
+
+def record_trsyl_shapes(monkeypatch):
+    shapes = []
+    trsyl = scipy.linalg.lapack.dtrsyl
+
+    def recording_trsyl(A, B, F, *args, **kwargs):
+        shapes.append(np.shape(F))
+        return trsyl(A, B, F, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", recording_trsyl)
+    return shapes
+
+
 class TestSolvePfSylvester:
     def test_identity(self):
         assert np.allclose(solve_pf_sylvester(np.eye(4)), np.eye(4))
@@ -289,6 +329,85 @@ class TestSolvePfSylvester:
         X = solve_pf_sylvester(C)
         res = np.linalg.norm(C @ X + X @ C.T - 2 * np.eye(6)) / np.linalg.norm(2 * np.eye(6))
         assert res <= 1e-12
+
+    @pytest.mark.parametrize("leaf", [2, 3, 4])
+    @pytest.mark.parametrize("p", [5, 9, 17, 30])
+    def test_recursion_against_kronecker_oracle(self, p, leaf, monkeypatch):
+        # a leaf of 2-4 rows makes every p here recurse, across 2-by-2 blocks
+        monkeypatch.setattr(matfun, "_LEAF", leaf)
+        C = complex_pair_matrix(p, np.random.default_rng(100 + p))
+        X, X_ref = solve_pf_sylvester(C), sylvester_kron_oracle(C)
+        assert np.linalg.norm(X - X_ref) <= 1e-12 * np.linalg.norm(X_ref)
+
+    @pytest.mark.parametrize("leaf", [2, 3, 4])
+    def test_recursion_cuts_beside_blocks(self, leaf, monkeypatch):
+        # p = 30 with 15 complex pairs: T has 2-by-2 blocks at rows 2k, 2k+1,
+        # so the first midpoint, 15, falls inside one and must move to 16
+        monkeypatch.setattr(matfun, "_LEAF", leaf)
+        cuts = []
+        cut = matfun._cut
+
+        def recording_cut(T, lo, hi):
+            m = cut(T, lo, hi)
+            cuts.append((lo, hi, m))
+            assert T[m, m - 1] == 0.0
+            return m
+
+        monkeypatch.setattr(matfun, "_cut", recording_cut)
+        solve_pf_sylvester(complex_pair_matrix(30, np.random.default_rng(130)))
+        assert cuts[0] == (0, 30, 16)
+
+    def test_large_matches_single_trsyl(self, monkeypatch):
+        p = 400
+        C = pf_overlap(1000, p, np.pi / 2, np.random.default_rng(11))
+        T, Z = scipy.linalg.schur(C)
+        Y, scale, info = scipy.linalg.lapack.dtrsyl(T, T, 2.0 * np.eye(p), tranb="T")
+        assert (scale, info) == (1.0, 0)
+        X_ref = Z @ Y @ Z.T
+        X_ref = 0.5 * (X_ref + X_ref.T)
+        shapes = record_trsyl_shapes(monkeypatch)
+        X = solve_pf_sylvester(C)
+        assert shapes and max(max(s) for s in shapes) <= matfun._LEAF
+        res = np.linalg.norm(C @ X + X @ C.T - 2 * np.eye(p)) / np.linalg.norm(2 * np.eye(p))
+        assert res <= 1e-12
+        assert np.linalg.norm(X - X_ref) <= 1e-12 * np.linalg.norm(X_ref)
+
+    def test_eigenvalues_from_schur_call(self, monkeypatch):
+        def no_eigvals(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        shapes = record_trsyl_shapes(monkeypatch)
+        p = 100
+        C = pf_overlap(300, p, np.pi / 2, np.random.default_rng(12))
+        X = solve_pf_sylvester(C)
+        assert np.linalg.norm(C @ X + X @ C.T - 2 * np.eye(p)) <= 1e-12 * np.linalg.norm(X)
+        assert len(shapes) > 1 and max(max(s) for s in shapes) <= matfun._LEAF
+        with pytest.raises(DomainError):
+            solve_pf_sylvester(np.diag([1.0, -1.0]))
+
+    def test_schur_failure_is_domain_error(self, monkeypatch):
+        gees = scipy.linalg.lapack.dgees
+
+        def failing_gees(*args, **kwargs):
+            *out, info = gees(*args, **kwargs)
+            return (*out, 0 if kwargs.get("lwork") == -1 else 3)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgees", failing_gees)
+        with pytest.raises(DomainError, match="Schur"):
+            solve_pf_sylvester(np.eye(4) + 0.1 * np.ones((4, 4)))
+
+    @pytest.mark.parametrize("scale,info", [(0.5, 0), (1.0, 1)])
+    def test_trsyl_rescale_is_domain_error(self, scale, info, monkeypatch):
+        trsyl = scipy.linalg.lapack.dtrsyl
+
+        def rescaling_trsyl(*args, **kwargs):
+            Y, _, _ = trsyl(*args, **kwargs)
+            return Y * scale, scale, info
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", rescaling_trsyl)
+        with pytest.raises(DomainError, match="rescaled or perturbed"):
+            solve_pf_sylvester(np.eye(4) + 0.1 * np.ones((4, 4)))
 
 
 class TestCayley:

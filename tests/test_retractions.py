@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from stiefel_retractions.core import (
     BETA_CANONICAL,
@@ -103,6 +104,24 @@ class TestPolarFactor:
         U1 = param_at_E(ChartCoordinates(A, np.zeros((6, 4))))
         with pytest.raises(DomainError, match="positive definite"):
             pf_inv(canonical_point(10, 4), U1)
+
+    @pytest.mark.parametrize("routine", ["dgees", "dtrsyl"])
+    def test_lapack_failure_is_domain_error(self, routine, monkeypatch):
+        # a Schur iteration that does not converge, or a trsyl that had to
+        # rescale, is reported as a DomainError, never a raw LinAlgError
+        lapack_fn = getattr(scipy.linalg.lapack, routine)
+
+        def failing(*args, **kwargs):
+            out = lapack_fn(*args, **kwargs)
+            if routine == "dtrsyl":
+                return out[0], 0.5, out[2]
+            return (*out[:-1], 0 if kwargs.get("lwork") == -1 else 5)
+
+        monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
+        U0 = rand_point(20, 5, 0)
+        U1 = pf_ret(rand_tangent(U0, 0.5, np.random.default_rng(1)))
+        with pytest.raises(DomainError, match="^pf_inv: outside PF injectivity domain"):
+            pf_inv(U0, U1)
 
 
 class TestPolarLight:
