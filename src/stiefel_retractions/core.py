@@ -149,6 +149,8 @@ def rand_tangent(base: StiefelPoint, norm_target: float, seed) -> TangentVector:
     """Seeded pseudo-random tangent vector with ||Xi||_F = norm_target."""
     if not (np.isfinite(norm_target) and norm_target >= 0):
         raise ValidationError(f"norm_target must be finite and nonnegative, got {norm_target}")
+    if norm_target > 0 and base.n == base.p == 1:
+        raise ValidationError(f"norm_target must be 0 on St(1, 1), got {norm_target}")
     rng = _as_rng(seed)
     xi = project_tangent(base, rng.standard_normal(base.U.shape))
     if norm_target == 0:

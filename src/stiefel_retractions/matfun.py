@@ -130,106 +130,64 @@ def invsqrtm_spd(S: np.ndarray) -> np.ndarray:
     return 0.5 * (T + T.T)
 
 
-# Blocks of the triangular Lyapunov solve at or below this size go to
-# LAPACK's unblocked trsyl; larger ones are split and updated by GEMMs.
-_LEAF = 32
+# solve_pf_sylvester's Newton steps converge quadratically: a step d leaves
+# an error of about d^2 ||C_k^-1||, and it stops once that is below _SIGN_TOL.
+_SIGN_TOL = 1e-14
+_SIGN_MAX_STEPS = 50
+_SIGN_MAX_ROUNDING = 1e-2  # largest eps ||C||_F ||X||_F that leaves X certainly SPD
+_NOT_STABLE = "C is not positive stable, so C X + X C.T = 2 I has no positive definite solution"
 
 
-def _cut(T: np.ndarray, lo: int, hi: int) -> int:
-    """Midpoint of lo:hi, moved down one row so that no 2-by-2 block is cut."""
-    m = (lo + hi) // 2
-    return m + 1 if T[m, m - 1] != 0.0 else m
-
-
-def _sylvester(T: np.ndarray, Y: np.ndarray, a0: int, a1: int, b0: int, b1: int) -> None:
-    """Overwrite F = Y[a, b] with the X of T[a, a] X + X T[b, b].T = F.
-
-    Recursive blocked Bartels-Stewart (Jonsson & Kagstrom, ACM TOMS 2002):
-    the longer side is split, the trailing half solved first, and its
-    contribution removed from the leading half by one GEMM. A trsyl that
-    has to rescale or perturb the equation raises DomainError.
-    """
-    if max(a1 - a0, b1 - b0) <= _LEAF:
-        X, scale, info = scipy.linalg.lapack.dtrsyl(
-            T[a0:a1, a0:a1], T[b0:b1, b0:b1], Y[a0:a1, b0:b1], tranb="T"
-        )
-        if info or scale != 1.0:
-            raise DomainError(
-                f"solve_pf_sylvester: triangular solve rescaled or perturbed "
-                f"(info {info}, scale {scale:.3e})"
-            )
-        Y[a0:a1, b0:b1] = X
-    elif a1 - a0 >= b1 - b0:
-        c = _cut(T, a0, a1)
-        _sylvester(T, Y, c, a1, b0, b1)
-        Y[a0:c, b0:b1] -= T[a0:c, c:a1] @ Y[c:a1, b0:b1]
-        _sylvester(T, Y, a0, c, b0, b1)
-    else:
-        c = _cut(T, b0, b1)
-        _sylvester(T, Y, a0, a1, c, b1)
-        Y[a0:a1, b0:c] -= Y[a0:a1, c:b1] @ T[b0:c, c:b1].T
-        _sylvester(T, Y, a0, a1, b0, c)
-
-
-def _lyapunov(T: np.ndarray, Y: np.ndarray, lo: int, hi: int) -> None:
-    """Overwrite the symmetric R = Y[s, s] with the Y of T[s, s] Y + Y T[s, s].T = R.
-
-    With T = [[T11, T12], [0, T22]] split at _cut: Y22 solves the trailing
-    Lyapunov equation, Y12 the Sylvester equation T11 Y12 + Y12 T22.T =
-    R12 - T12 Y22, and Y11 the leading Lyapunov equation with right side
-    R11 - (T12 Y12.T + Y12 T12.T). Y21 is Y12.T, so it is never solved for.
-    """
-    if hi - lo <= _LEAF:
-        return _sylvester(T, Y, lo, hi, lo, hi)
-    m = _cut(T, lo, hi)
-    _lyapunov(T, Y, m, hi)
-    Y[lo:m, m:hi] -= T[lo:m, m:hi] @ Y[m:hi, m:hi]
-    _sylvester(T, Y, lo, m, m, hi)
-    U = T[lo:m, m:hi] @ Y[lo:m, m:hi].T
-    Y[lo:m, lo:m] -= U + U.T
-    _lyapunov(T, Y, lo, m)
-    Y[m:hi, lo:m] = Y[lo:m, m:hi].T
+class _Undecided(DomainError):
+    """solve_pf_sylvester could not decide whether C is positive stable."""
 
 
 def solve_pf_sylvester(C: np.ndarray) -> np.ndarray:
-    """Solve C @ X + X @ C.T = 2*I for symmetric X.
+    """Solve C @ X + X @ C.T = 2*I for a symmetric positive definite X.
 
-    Route: Bartels-Stewart on one real Schur form C = Z T Z.T (Bartels &
-    Stewart, CACM 1972). With X = Z Y Z.T the equation becomes
-    T Y + Y T.T = 2 I on the quasi-triangular T, solved by the recursive
-    blocked algorithm of Jonsson & Kagstrom (ACM TOMS 2002): halve T,
-    update by matrix products, and back-substitute with LAPACK's trsyl
-    only on blocks of at most _LEAF rows. Only orthogonal transformations
-    are involved, so the residual stays at roundoff level even when C is
-    nearly defective and its eigenvector basis ill-conditioned.
+    Such an X exists exactly when C is positive stable: every eigenvalue has
+    a positive real part (Lyapunov). The determinant-scaled Newton iteration
+    for sign(C) (Roberts, 1980; Byers, 1987) decides this and finds X: with
+    c = |det C_k|^(-1/p) from the getrf LU, the steps C_{k+1} = (c C_k +
+    C_k^-1 / c) / 2 and Y_{k+1} = (c Y_k + C_k^-1 Y_k C_k^-T / c) / 2 from
+    C_0 = C, Y_0 = 2 I keep C_k X + X C_k.T = Y_k, so X = Y_k / 2 once C_k
+    reaches sign(C) = I. Each Y_k is SPD, but the computed X has errors of
+    order eps ||X|| against eigenvalues of at least 1/||C||_2.
 
-    The eigenvalues d of C come from the same LAPACK gees call as T.
-    Rejects pairs with |d_i + d_j| <= 1e-10 ||C||_F, where the equation
-    is singular and the inverse polar factor retraction is undefined;
-    ||C||_F needs no SVD and is never below ||C||_2. Raises DomainError
-    too if the Schur iteration does not converge or a trsyl block has to
-    be rescaled, so a partial solution is never returned.
+    Raises DomainError when an LU is exactly singular or trace(sign(C)) =
+    p - 2 #{Re(eigenvalue) < 0} is below p - 1; its subclass _Undecided when
+    the iteration does not converge or X is not finite or too
+    ill-conditioned to be certified positive definite.
     """
     C = _check_square(C, "C")
-    # scipy.linalg.schur drops wr, wi; sort_t = 0, so no_sort is never called
-    gees, no_sort = scipy.linalg.lapack.dgees, lambda wr, wi: None
-    lwork = int(gees(no_sort, C, lwork=-1)[-2][0])
-    T, _, wr, wi, Z, _, info = gees(no_sort, C, lwork=lwork)
-    if info:
-        raise DomainError(f"solve_pf_sylvester: real Schur form not found (info {info})")
-    d = wr + 1j * wi
-    pair_sums = np.abs(d[:, None] + d[None, :])
-    eps_sylv = 1e-10 * np.linalg.norm(C)
-    if np.min(pair_sums) <= eps_sylv:
-        raise DomainError(
-            "solve_pf_sylvester: eigenvalue pair sum near zero, "
-            "inverse PF retraction undefined/ill-conditioned"
-        )
-    p = C.shape[0]
+    p, C_norm = C.shape[0], np.linalg.norm(C)
+    lwork = int(scipy.linalg.lapack.dgetri_lwork(p)[0])
     Y = 2.0 * np.eye(p)
-    _lyapunov(T, Y, 0, p)
-    X = Z @ Y @ Z.T
-    return 0.5 * (X + X.T)
+    with np.errstate(all="ignore"):  # overflow is caught as a non-finite X
+        for _ in range(_SIGN_MAX_STEPS):
+            lu, piv, info = scipy.linalg.lapack.dgetrf(C)
+            if info > 0:
+                raise DomainError(f"solve_pf_sylvester: {_NOT_STABLE}")
+            C_inv = scipy.linalg.lapack.dgetri(lu, piv, lwork=lwork)[0]
+            c = np.exp(-np.mean(np.log(np.abs(np.diagonal(lu)))))
+            C_prev, C = C, 0.5 * (c * C + C_inv / c)
+            Y = 0.5 * (c * Y + (C_inv @ Y @ C_inv.T) / c)
+            err = np.linalg.norm(C - C_prev, 1) ** 2 * np.linalg.norm(C_inv, 1)
+            if not np.isfinite(err) or err <= _SIGN_TOL * np.linalg.norm(C, 1):
+                break
+        else:
+            raise _Undecided(
+                f"solve_pf_sylvester: sign iteration did not converge in {_SIGN_MAX_STEPS} steps"
+            )
+    if np.trace(C) < p - 1:
+        raise DomainError(f"solve_pf_sylvester: {_NOT_STABLE}")
+    X = 0.25 * (Y + Y.T)
+    rounding = np.finfo(float).eps * C_norm * np.linalg.norm(X)
+    if not np.isfinite(rounding) or rounding > _SIGN_MAX_ROUNDING:
+        raise _Undecided(
+            f"solve_pf_sylvester: X not finite or ill-conditioned (eps |C| |X| = {rounding:.1e})"
+        )
+    return X
 
 
 def cay(A: np.ndarray) -> np.ndarray:

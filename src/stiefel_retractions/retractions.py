@@ -57,21 +57,16 @@ def pf_inv(base: StiefelPoint, U1: StiefelPoint) -> TangentVector:
 
     With C = U0.T U1 and X the symmetric solution of C X + X C.T = 2 I,
     the preimage is Xi = U1 X - U0. Since pf_ret(Xi) = U1 sign(X), X must
-    also be positive definite; it is not when, for example, U0.T U1 is a
-    rotation with an angle above pi/2 (X = I / cos(angle) on its block).
+    also be positive definite, which holds exactly when C is positive
+    stable; it is not when, for example, U0.T U1 is a rotation with an
+    angle above pi/2 (X = I / cos(angle) on its block).
     """
-    C = base.U.T @ U1.U
     try:
-        X = matfun.solve_pf_sylvester(C)
+        X = matfun.solve_pf_sylvester(base.U.T @ U1.U)
+    except matfun._Undecided as exc:
+        raise DomainError(f"pf_inv: Sylvester solve failed ({exc})") from exc
     except DomainError as exc:
         raise DomainError(f"pf_inv: outside PF injectivity domain ({exc})") from exc
-    try:
-        np.linalg.cholesky(X)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError(
-            "pf_inv: outside PF injectivity domain (Sylvester solution not "
-            "positive definite, so U1 X - U0 is not a preimage)"
-        ) from exc
     return TangentVector(base, U1.U @ X - base.U)
 
 

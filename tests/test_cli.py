@@ -59,7 +59,8 @@ def test_invalid_dims_exit_nonzero(tmp_path):
     ("curve", ["--n", "30", "--p", "3", "--dist", "nan"], "distance must be finite"),
     ("curve", ["--n", "30", "--p", "3", "--kinds", ","], "kinds must name at least one"),
     ("timing", ["--n", "30", "--p", "3", "--kinds", ""], "kinds must name at least one"),
-], ids=["p0", "repeats0", "dist_nan", "kinds_comma", "kinds_empty"])
+    ("curve", ["--n", "1", "--p", "1"], "norm_target must be 0 on St(1, 1)"),
+], ids=["p0", "repeats0", "dist_nan", "kinds_comma", "kinds_empty", "n1_p1"])
 def test_invalid_sizes_exit_one(tmp_path, capsys, command, args, message):
     assert main([command, *args, "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")

@@ -131,6 +131,12 @@ class TestRandom:
         U0 = rand_point(8, 2, 0)
         assert rand_tangent(U0, 0.0, 1).norm == 0.0
 
+    def test_tangent_on_zero_dimensional_space(self):
+        U0 = rand_point(1, 1, 0)
+        assert rand_tangent(U0, 0.0, 1).norm == 0.0
+        with pytest.raises(ValidationError, match="norm_target must be 0 on St"):
+            rand_tangent(U0, 1.0, 1)
+
     @pytest.mark.parametrize("n,p", [(2, 3), (0, 0), (3, 0), (3, -1)])
     def test_point_rejects_bad_sizes(self, n, p):
         with pytest.raises(ValidationError, match="need "):

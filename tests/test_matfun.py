@@ -260,6 +260,17 @@ def complex_pair_matrix(p, rng):
     return Q @ (D + N) @ Q.T
 
 
+def rotation_edge(theta, p, rng):
+    """Q S D S^-1 Q.T with S non-normal: D has one rotation block at angle
+    theta and p - 2 eigenvalues in [0.5, 1.5].
+    """
+    D = np.diag(rng.uniform(0.5, 1.5, p))
+    D[:2, :2] = planar_rotation(theta)
+    S = np.eye(p) + 0.3 * np.triu(rng.standard_normal((p, p)), 1)
+    Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    return Q @ S @ D @ np.linalg.solve(S, Q.T)
+
+
 def pf_overlap(n, p, dist, rng):
     """C = U0.T U1 for U1 the polar factor retraction of a tangent of norm dist."""
     G = np.linalg.qr(rng.standard_normal((n, p)))[0]
@@ -269,18 +280,6 @@ def pf_overlap(n, p, dist, rng):
     Xi *= dist / np.linalg.norm(Xi)
     w, V = np.linalg.eigh(np.eye(p) + Xi.T @ Xi)
     return G.T @ ((G + Xi) @ ((V * w**-0.5) @ V.T))
-
-
-def record_trsyl_shapes(monkeypatch):
-    shapes = []
-    trsyl = scipy.linalg.lapack.dtrsyl
-
-    def recording_trsyl(A, B, F, *args, **kwargs):
-        shapes.append(np.shape(F))
-        return trsyl(A, B, F, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", recording_trsyl)
-    return shapes
 
 
 class TestSolvePfSylvester:
@@ -296,8 +295,16 @@ class TestSolvePfSylvester:
         rng = np.random.default_rng(seed)
         p = rng.integers(2, 9)
         C = np.eye(p) + 0.3 * rng.standard_normal((p, p))
-        X = solve_pf_sylvester(C)
-        assert np.allclose(X, sylvester_kron_oracle(C), atol=1e-10)
+        X_ref = sylvester_kron_oracle(C)
+        # seed 3 draws an eigenvalue with real part -0.125: the symmetric
+        # solution exists but is indefinite, so it is refused
+        assert (np.min(np.linalg.eigvals(C).real) > 0) == (seed != 3)
+        if seed == 3:
+            assert np.min(np.linalg.eigvalsh(X_ref)) < 0
+            with pytest.raises(DomainError, match="not positive stable"):
+                solve_pf_sylvester(C)
+        else:
+            assert np.allclose(solve_pf_sylvester(C), X_ref, atol=1e-10)
 
     def test_residual_on_pf_structured_input(self):
         # C = U0.T U1 with U1 a polar-factor retracted point
@@ -322,6 +329,9 @@ class TestSolvePfSylvester:
     def test_degenerate_eigenvalue_pair(self):
         with pytest.raises(DomainError):
             solve_pf_sylvester(np.diag([1.0, -1.0]))
+        # the first Newton step of an exact quarter turn is exactly singular
+        with pytest.raises(DomainError, match="not positive stable"):
+            solve_pf_sylvester(np.array([[0.0, -1.0], [1.0, 0.0]]))
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-8])
     def test_near_defective_residual(self, eps):
@@ -330,34 +340,13 @@ class TestSolvePfSylvester:
         res = np.linalg.norm(C @ X + X @ C.T - 2 * np.eye(6)) / np.linalg.norm(2 * np.eye(6))
         assert res <= 1e-12
 
-    @pytest.mark.parametrize("leaf", [2, 3, 4])
     @pytest.mark.parametrize("p", [5, 9, 17, 30])
-    def test_recursion_against_kronecker_oracle(self, p, leaf, monkeypatch):
-        # a leaf of 2-4 rows makes every p here recurse, across 2-by-2 blocks
-        monkeypatch.setattr(matfun, "_LEAF", leaf)
+    def test_complex_pairs_against_kronecker_oracle(self, p):
         C = complex_pair_matrix(p, np.random.default_rng(100 + p))
         X, X_ref = solve_pf_sylvester(C), sylvester_kron_oracle(C)
         assert np.linalg.norm(X - X_ref) <= 1e-12 * np.linalg.norm(X_ref)
 
-    @pytest.mark.parametrize("leaf", [2, 3, 4])
-    def test_recursion_cuts_beside_blocks(self, leaf, monkeypatch):
-        # p = 30 with 15 complex pairs: T has 2-by-2 blocks at rows 2k, 2k+1,
-        # so the first midpoint, 15, falls inside one and must move to 16
-        monkeypatch.setattr(matfun, "_LEAF", leaf)
-        cuts = []
-        cut = matfun._cut
-
-        def recording_cut(T, lo, hi):
-            m = cut(T, lo, hi)
-            cuts.append((lo, hi, m))
-            assert T[m, m - 1] == 0.0
-            return m
-
-        monkeypatch.setattr(matfun, "_cut", recording_cut)
-        solve_pf_sylvester(complex_pair_matrix(30, np.random.default_rng(130)))
-        assert cuts[0] == (0, 30, 16)
-
-    def test_large_matches_single_trsyl(self, monkeypatch):
+    def test_large_matches_single_trsyl(self):
         p = 400
         C = pf_overlap(1000, p, np.pi / 2, np.random.default_rng(11))
         T, Z = scipy.linalg.schur(C)
@@ -365,49 +354,31 @@ class TestSolvePfSylvester:
         assert (scale, info) == (1.0, 0)
         X_ref = Z @ Y @ Z.T
         X_ref = 0.5 * (X_ref + X_ref.T)
-        shapes = record_trsyl_shapes(monkeypatch)
         X = solve_pf_sylvester(C)
-        assert shapes and max(max(s) for s in shapes) <= matfun._LEAF
         res = np.linalg.norm(C @ X + X @ C.T - 2 * np.eye(p)) / np.linalg.norm(2 * np.eye(p))
         assert res <= 1e-12
         assert np.linalg.norm(X - X_ref) <= 1e-12 * np.linalg.norm(X_ref)
 
-    def test_eigenvalues_from_schur_call(self, monkeypatch):
-        def no_eigvals(*args, **kwargs):
-            raise AssertionError("np.linalg.eigvals called")
-
-        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
-        shapes = record_trsyl_shapes(monkeypatch)
-        p = 100
-        C = pf_overlap(300, p, np.pi / 2, np.random.default_rng(12))
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_rotation_angle_just_below_half_pi(self, delta):
+        p = 40
+        C = rotation_edge(np.pi / 2 - delta, p, np.random.default_rng(40))
         X = solve_pf_sylvester(C)
-        assert np.linalg.norm(C @ X + X @ C.T - 2 * np.eye(p)) <= 1e-12 * np.linalg.norm(X)
-        assert len(shapes) > 1 and max(max(s) for s in shapes) <= matfun._LEAF
-        with pytest.raises(DomainError):
-            solve_pf_sylvester(np.diag([1.0, -1.0]))
+        res = np.linalg.norm(C @ X + X @ C.T - 2 * np.eye(p))
+        assert res <= 1e-13 * np.linalg.norm(C) * np.linalg.norm(X)
+        assert np.min(np.linalg.eigvalsh(X)) > 0
 
-    def test_schur_failure_is_domain_error(self, monkeypatch):
-        gees = scipy.linalg.lapack.dgees
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_rotation_angle_just_above_half_pi(self, delta):
+        C = rotation_edge(np.pi / 2 + delta, 40, np.random.default_rng(40))
+        with pytest.raises(DomainError, match="not positive stable"):
+            solve_pf_sylvester(C)
 
-        def failing_gees(*args, **kwargs):
-            *out, info = gees(*args, **kwargs)
-            return (*out, 0 if kwargs.get("lwork") == -1 else 3)
-
-        monkeypatch.setattr(scipy.linalg.lapack, "dgees", failing_gees)
-        with pytest.raises(DomainError, match="Schur"):
-            solve_pf_sylvester(np.eye(4) + 0.1 * np.ones((4, 4)))
-
-    @pytest.mark.parametrize("scale,info", [(0.5, 0), (1.0, 1)])
-    def test_trsyl_rescale_is_domain_error(self, scale, info, monkeypatch):
-        trsyl = scipy.linalg.lapack.dtrsyl
-
-        def rescaling_trsyl(*args, **kwargs):
-            Y, _, _ = trsyl(*args, **kwargs)
-            return Y * scale, scale, info
-
-        monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", rescaling_trsyl)
-        with pytest.raises(DomainError, match="rescaled or perturbed"):
-            solve_pf_sylvester(np.eye(4) + 0.1 * np.ones((4, 4)))
+    def test_rounding_sized_margin_is_not_a_domain_decision(self):
+        # cos(pi/2) rounds to 6e-17 > 0, so X = I / 6e-17 is positive
+        # definite in exact arithmetic but not certifiably in floating point
+        with pytest.raises(matfun._Undecided, match="ill-conditioned"):
+            solve_pf_sylvester(planar_rotation(np.pi / 2))
 
 
 class TestCayley:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from stiefel_retractions import matfun
 from stiefel_retractions.core import (
     BETA_CANONICAL,
     BETA_EUCLIDEAN,
@@ -105,22 +106,34 @@ class TestPolarFactor:
         with pytest.raises(DomainError, match="positive definite"):
             pf_inv(canonical_point(10, 4), U1)
 
-    @pytest.mark.parametrize("routine", ["dgees", "dtrsyl"])
-    def test_lapack_failure_is_domain_error(self, routine, monkeypatch):
-        # a Schur iteration that does not converge, or a trsyl that had to
-        # rescale, is reported as a DomainError, never a raw LinAlgError
+    @pytest.mark.parametrize("routine,nan_out,message", [
+        ("dgetrf", False, "^pf_inv: outside PF injectivity domain .*positive definite"),
+        ("dgetri", True, r"^pf_inv: Sylvester solve failed .*X not finite"),
+    ], ids=["dgetrf", "dgetri"])
+    def test_lapack_failure_is_domain_error(self, routine, nan_out, message, monkeypatch):
+        # an exactly singular LU is a statement about C; a non-finite
+        # inverse is a numerical failure and says so
         lapack_fn = getattr(scipy.linalg.lapack, routine)
 
         def failing(*args, **kwargs):
-            out = lapack_fn(*args, **kwargs)
-            if routine == "dtrsyl":
-                return out[0], 0.5, out[2]
-            return (*out[:-1], 0 if kwargs.get("lwork") == -1 else 5)
+            *out, info = lapack_fn(*args, **kwargs)
+            if nan_out:
+                return np.full_like(out[0], np.nan), info
+            return (*out, 1)
 
         monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
         U0 = rand_point(20, 5, 0)
         U1 = pf_ret(rand_tangent(U0, 0.5, np.random.default_rng(1)))
-        with pytest.raises(DomainError, match="^pf_inv: outside PF injectivity domain"):
+        with pytest.raises(DomainError, match=message):
+            pf_inv(U0, U1)
+
+    def test_iteration_cap_is_not_a_domain_refusal(self, monkeypatch):
+        monkeypatch.setattr(matfun, "_SIGN_MAX_STEPS", 1)
+        U0 = rand_point(20, 5, 0)
+        U1 = pf_ret(rand_tangent(U0, 0.5, np.random.default_rng(1)))
+        with pytest.raises(
+            DomainError, match="^pf_inv: Sylvester solve failed .*did not converge in 1 steps"
+        ):
             pf_inv(U0, U1)
 
 
