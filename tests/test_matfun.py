@@ -340,10 +340,14 @@ class TestSolvePfSylvester:
         res = np.linalg.norm(C @ X + X @ C.T - 2 * np.eye(6)) / np.linalg.norm(2 * np.eye(6))
         assert res <= 1e-12
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("p", [5, 9, 17, 30])
-    def test_complex_pairs_against_kronecker_oracle(self, p):
+    def test_recursion_against_kronecker_oracle(self, p, k):
+        # X(s C) = X(C) / s; at s = 1e16 the Newton recursion needs its
+        # determinant scaling to converge within _SIGN_MAX_STEPS
+        s = 10.0 ** (16 * (k - 3))
         C = complex_pair_matrix(p, np.random.default_rng(100 + p))
-        X, X_ref = solve_pf_sylvester(C), sylvester_kron_oracle(C)
+        X, X_ref = s * solve_pf_sylvester(s * C), sylvester_kron_oracle(C)
         assert np.linalg.norm(X - X_ref) <= 1e-12 * np.linalg.norm(X_ref)
 
     def test_large_matches_single_trsyl(self):
