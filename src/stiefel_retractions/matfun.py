@@ -37,9 +37,6 @@ def tol_struct(p: int) -> float:
     return 1e-8 * np.sqrt(p)
 
 
-EPS_SPD = 1e-12
-
-
 def _check_finite(M: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(M)):
         raise ValidationError(f"{name} contains non-finite entries")
@@ -62,9 +59,8 @@ def expm_skew(A: np.ndarray) -> np.ndarray:
     flow in core is less accurate.
     """
     A = _check_square(A, "A")
-    p = A.shape[0]
     defect = np.linalg.norm(A + A.T)
-    if defect > tol_struct(p):
+    if defect > tol_struct(A.shape[0]) * np.linalg.norm(A):
         raise ValidationError(f"expm_skew: input not skew-symmetric (defect {defect:.3e})")
     return scipy.linalg.expm(A)
 
@@ -113,21 +109,25 @@ def logm_so(Q: np.ndarray) -> np.ndarray:
 def invsqrtm_spd(S: np.ndarray) -> np.ndarray:
     """Inverse square root of a symmetric positive definite matrix.
 
-    Computed by symmetric eigendecomposition; the result T is the unique
-    SPD matrix with T @ S @ T = I.
+    Computed from S = V diag(w) V.T as T = Y Y.T with Y = V diag(w)^(-1/4),
+    the unique SPD matrix with T @ S @ T = I; numpy forms Y @ Y.T with BLAS
+    syrk, so T is exactly symmetric. Its relative error is about
+    eps * cond(S) (Higham, 1986), so S is refused with DomainError once
+    that exceeds tol_struct(1).
     """
     S = _check_square(S, "S")
-    p = S.shape[0]
     defect = np.linalg.norm(S - S.T)
-    if defect > tol_struct(p):
+    if defect > tol_struct(S.shape[0]) * np.linalg.norm(S):
         raise ValidationError(f"invsqrtm_spd: input not symmetric (defect {defect:.3e})")
     w, V = np.linalg.eigh(0.5 * (S + S.T))
-    if w[0] <= EPS_SPD:
+    if w[0] <= 0:
         raise ValidationError(
             f"invsqrtm_spd: input not positive definite (smallest eigenvalue {w[0]:.3e})"
         )
-    T = (V * w**-0.5) @ V.T
-    return 0.5 * (T + T.T)
+    if np.finfo(float).eps * w[-1] > tol_struct(1) * w[0]:
+        raise DomainError(f"invsqrtm_spd: condition number {w[-1] / w[0]:.3e} too large")
+    Y = V * w**-0.25
+    return Y @ Y.T
 
 
 # solve_pf_sylvester's Newton steps converge quadratically: a step d leaves
@@ -204,10 +204,13 @@ def cay_inv(Q: np.ndarray) -> np.ndarray:
     """Inverse Cayley transform, 2 (Q - I)(Q + I)^{-1}.
 
     The result is skew-symmetrized, so it is exactly skew (A == -A.T)
-    rather than skew up to roundoff.
+    rather than skew up to roundoff. Raises DomainError when det(Q) < 0:
+    Q then has the eigenvalue -1, so Q + I is singular.
     """
     Q = _check_square(Q, "Q")
     p = Q.shape[0]
+    if np.linalg.det(Q) < 0:
+        raise DomainError("cay_inv: Q has negative determinant, so I + Q is singular")
     try:
         A = 2.0 * np.linalg.solve((np.eye(p) + Q).T, (Q - np.eye(p)).T).T
     except np.linalg.LinAlgError as exc:

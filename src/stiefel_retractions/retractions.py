@@ -41,9 +41,7 @@ _Twist = Callable[[np.ndarray], np.ndarray]
 
 
 def _polar(M: np.ndarray) -> StiefelPoint:
-    """Orthonormal polar factor M (M.T M)^{-1/2} of a full-rank n-by-p M."""
-    # numpy computes M.T @ M with BLAS syrk, so it is exactly symmetric, as
-    # invsqrtm_spd's symmetry check needs when ||M.T M|| is large.
+    """Orthonormal polar factor M (M.T M)^{-1/2} of a well-conditioned n-by-p M."""
     return StiefelPoint(M @ invsqrtm_spd(M.T @ M))
 
 
@@ -80,8 +78,8 @@ def _pl_inv(base: StiefelPoint, U1: StiefelPoint, untwist: _Twist) -> TangentVec
     """U0 (untwist(M R.T) - M R.T) + U1 R diag(1/s) R.T.
 
     M diag(s) R.T is the SVD of U0.T U1 and M R.T its polar (Procrustes)
-    factor, which must be in SO(p); U0.T U1 must be finite and well away
-    from singular.
+    factor, which must be in SO(p): untwist refuses det -1. U0.T U1 must be
+    finite and well away from singular.
     """
     M, s, Rt = np.linalg.svd(matfun._check_square(base.U.T @ U1.U, "C"))
     if s[-1] <= SIGMA_MIN:
@@ -89,11 +87,6 @@ def _pl_inv(base: StiefelPoint, U1: StiefelPoint, untwist: _Twist) -> TangentVec
             "pl_inv: U0.T U1 nearly singular, outside chart neighborhood"
         )
     ortho = M @ Rt
-    if np.linalg.det(ortho) < 0:
-        raise DomainError(
-            "pl_inv: polar factor has negative determinant, "
-            "outside the path-connected chart neighborhood"
-        )
     Xi = base.U @ (untwist(ortho) - ortho) + U1.U @ ((Rt.T * (1.0 / s)) @ Rt)
     return TangentVector(base, Xi)
 

@@ -69,6 +69,12 @@ class TestExpmSkew:
         with pytest.raises(ValidationError):
             expm_skew(np.eye(3))
 
+    def test_skew_defect_relative_to_norm(self):
+        # a symmetric part at roundoff of ||A|| = 1e10 is accepted
+        A = random_skew(4, np.random.default_rng(2), scale=1e10)
+        A[0, 1] += 1e-5
+        expm_skew(A)
+
 
 class TestLogmSo:
     def test_identity(self):
@@ -223,6 +229,21 @@ class TestInvsqrtmSpd:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError):
             invsqrtm_spd(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_symmetry_defect_relative_to_norm(self):
+        S = np.diag([1e12, 2e12])
+        S[0, 1] = 1e-4
+        assert np.allclose(invsqrtm_spd(S), np.diag([1e-6, 2**-0.5 * 1e-6]))
+
+    def test_accepts_tiny_well_conditioned(self):
+        # the floor is on the condition number, not on the smallest eigenvalue
+        assert np.allclose(invsqrtm_spd(1e-13 * np.eye(3)), 1e-13**-0.5 * np.eye(3))
+
+    @pytest.mark.parametrize("cond", [1e8, 1e12, 1e16])
+    def test_rejects_ill_conditioned(self, cond):
+        # T's relative error is about eps * cond(S), above tol_struct(1) here
+        with pytest.raises(DomainError, match="condition number"):
+            invsqrtm_spd(np.diag([1.0, 1.0 / cond]))
 
 
 def sylvester_kron_oracle(C):
@@ -417,3 +438,12 @@ class TestCayley:
     def test_cay_inv_singular_resolvent(self):
         with pytest.raises(DomainError):
             cay_inv(-np.eye(2))
+
+    @pytest.mark.parametrize("p", [5, 40])
+    def test_cay_inv_rejects_negative_determinant(self, p):
+        # a generic reflection: I + Q is singular, but only up to roundoff
+        Q = np.linalg.qr(np.random.default_rng(p).standard_normal((p, p)))[0]
+        if np.linalg.det(Q) > 0:
+            Q[:, 0] *= -1
+        with pytest.raises(DomainError, match="negative determinant"):
+            cay_inv(Q)

@@ -42,6 +42,32 @@ def horizontal_tangent(base, seed, norm=1.0):
     return TangentVector(base, Xi * (norm / np.linalg.norm(Xi)))
 
 
+def normal_part(base, Z):
+    """Z - U U.T Z: the part of Z normal to span(U)."""
+    return Z - base.U @ (base.U.T @ Z)
+
+
+def edge_pair(n, p, sigma_min, seed):
+    """(U0, U1, Xi) with U1 = pl_ret(Xi) and sigma_min(U0.T U1) = sigma_min, in closed form.
+
+    Xi = U0 A + P diag(b) V.T with P orthonormal and normal to U0, so
+    U1 = (U0 exp(A) V + P diag(b)) diag(c) V.T with c = 1/sqrt(1 + b^2):
+    U0.T U1 has singular values c, the smallest from b_0.
+    """
+    rng = np.random.default_rng(seed)
+    U0 = rand_point(n, p, rng)
+    A = rng.standard_normal((p, p))
+    A = 0.5 * (A - A.T)
+    A *= rng.uniform(0.5, 1.0) / np.linalg.norm(A, 2)
+    P = np.linalg.qr(normal_part(U0, rng.standard_normal((n, p))))[0]
+    V = rand_point(p, p, rng).U
+    b = rng.uniform(0.0, 1.0, p)
+    b[0] = np.sqrt(1.0 / sigma_min**2 - 1.0)
+    c = 1.0 / np.sqrt(1.0 + b**2)
+    U1 = (U0.U @ (expm_skew(A) @ V) * c + P * (b * c)) @ V.T
+    return U0, check_point(U1), U0.U @ A + (P * b) @ V.T
+
+
 def point_with_nan(n, p, seed):
     """A random point with one entry replaced by NaN (bypasses check_point)."""
     U = rand_point(n, p, seed).U.copy()
@@ -340,6 +366,15 @@ class TestPolarLightCayley:
         with pytest.raises(ValidationError, match="non-finite"):
             pl_cay_inv(rand_point(10, 3, 0), point_with_nan(10, 3, 1))
 
+    def test_rejects_negative_determinant(self):
+        # U0.T U1 is a generic reflection, so I + U0.T U1 is singular only up to roundoff
+        U0 = rand_point(12, 5, 0)
+        Q = rand_point(5, 5, 1).U
+        if np.linalg.det(Q) > 0:
+            Q[:, 0] *= -1
+        with pytest.raises(DomainError):
+            pl_cay_inv(U0, StiefelPoint(U0.U @ Q))
+
     @pytest.mark.parametrize("delta", [1e-3, 1e-4])
     def test_roundtrip_near_pi(self, delta):
         # one rotation angle pi - delta: cay_inv returns ||A|| ~ 4/delta, and
@@ -355,6 +390,53 @@ class TestPolarLightCayley:
         U1 = param_at_E(ChartCoordinates(0.5 * (A - A.T), B))
         again = pl_cay_ret(pl_cay_inv(canonical_point(n, p), U1))
         assert np.linalg.norm(again.U - U1.U) <= 1e-10 * np.sqrt(p)
+
+
+class TestDomainEdges:
+    """Each map returns an accurate answer or raises a typed error near its domain edges."""
+
+    @pytest.mark.parametrize("sigma_min", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+    @pytest.mark.parametrize("kind", ["pf", "pl", "pl_cayley"])
+    def test_chart_edge_roundtrip(self, kind, sigma_min):
+        ret, inv = RETRACTION_PAIRS[kind]
+        p = 40
+        U0, U1, _ = edge_pair(100, p, sigma_min, 0)
+        try:
+            again = ret(inv(U0, U1))
+        except (DomainError, ValidationError):
+            assert sigma_min < 1e-3, "refused a pair well inside the chart"
+            return
+        assert np.linalg.norm(again.U - U1.U) <= 1e-10 * np.sqrt(p)
+
+    @pytest.mark.parametrize("sigma_min", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    def test_pl_inv_accuracy_near_chart_edge(self, sigma_min):
+        # the SVD keeps the error first order in 1/sigma_min; a Gram route
+        # through eigh(C.T C) would make it second order
+        U0, U1, Xi = edge_pair(100, 40, sigma_min, 1)
+        err = np.linalg.norm(pl_inv(U0, U1).Xi - Xi) / np.linalg.norm(Xi)
+        assert err <= 10 * np.finfo(float).eps / sigma_min
+
+    @pytest.mark.parametrize("b", [1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8])
+    @pytest.mark.parametrize("p", [2, 5, 40])
+    @pytest.mark.parametrize("retract", [pf_ret, pl_ret, pl_cay_ret],
+                             ids=lambda f: f.__name__)
+    def test_retraction_conditioning(self, retract, p, b):
+        # one normal direction of size b: cond(M.T M) is about b^2
+        rng = np.random.default_rng(p)
+        n = 3 * p + 5
+        U0 = rand_point(n, p, rng)
+        u = normal_part(U0, rng.standard_normal((n, 1)))
+        v = rng.standard_normal((1, p))
+        Xi = rand_tangent(U0, 1.0, rng).Xi + b * (u / np.linalg.norm(u)) @ (v / np.linalg.norm(v))
+        try:
+            out = retract(TangentVector(U0, Xi))
+        except (DomainError, ValidationError):
+            assert b > 1e3, "refused a well-conditioned tangent"
+            return
+        check_point(out.U)
+        if retract is pf_ret:
+            W, _, Zt = np.linalg.svd(U0.U + Xi, full_matrices=False)
+            assert np.linalg.norm(out.U - W @ Zt) <= matfun.tol_struct(p)
 
 
 class TestSharedInvariants:
