@@ -2,9 +2,9 @@
 
 The classical polar factor (PF) retraction needs a Sylvester-equation
 solve to invert. The polar-light (PL) retraction twists the p-by-p block
-with a matrix exponential and inverts in closed form from one small SVD
-and a principal log. This script shows both roundtrips and the chart at
-the canonical point E = [I; 0].
+with a matrix exponential and inverts in closed form from the polar
+decomposition of one small matrix and a principal log. This script shows
+both roundtrips and the chart at the canonical point E = [I; 0].
 
 Run with: python demos/02_closed_form_inverse.py
 """

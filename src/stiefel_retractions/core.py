@@ -91,13 +91,36 @@ def check_point(U: np.ndarray) -> StiefelPoint:
     return StiefelPoint(U)
 
 
+# Largest Frobenius norm of a tangent that the maps accept. They form Gram
+# matrices M.T M with ||M||_F <= 2 ||Xi||_F + sqrt(p) and take Frobenius norms
+# of those, fourth powers of ||M||_F, which stay finite below this bound.
+_TANGENT_MAX_NORM = np.finfo(float).max ** 0.25 / 4
+
+
+def _check_tangent_entries(Xi: np.ndarray) -> np.ndarray:
+    """Xi, once checked to be finite and of norm at most _TANGENT_MAX_NORM.
+
+    ||Xi||_F is bounded by sqrt(size) max |Xi|, which squares no entry, so
+    the check itself cannot overflow. A NaN or inf entry fails the same
+    comparison, so the common case costs one max and one min.
+    """
+    big = np.maximum(np.max(Xi), -np.min(Xi))
+    if not big <= _TANGENT_MAX_NORM / np.sqrt(Xi.size):
+        _check_finite(Xi, "tangent")
+        raise ValidationError(
+            f"tangent too large: largest entry {big:.3e}, so products with it would overflow"
+        )
+    return Xi
+
+
 def _skew_block(base: StiefelPoint, Xi: np.ndarray) -> np.ndarray:
     """The exactly skew block A = U.T Xi of a tangent Xi.
 
-    Raises ValidationError when Xi is not finite, or when U.T Xi has a
-    symmetric part above roundoff, i.e. when Xi is not tangent at base.
+    Raises ValidationError when Xi is not finite or too large to multiply,
+    or when U.T Xi has a symmetric part above roundoff, i.e. when Xi is not
+    tangent at base.
     """
-    A = base.U.T @ _check_finite(Xi, "tangent")
+    A = base.U.T @ _check_tangent_entries(Xi)
     defect = np.linalg.norm(A + A.T)
     if defect > tol_struct(base.p):
         raise ValidationError(f"U.T Xi not skew-symmetric (defect {defect:.3e})")

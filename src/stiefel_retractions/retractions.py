@@ -5,8 +5,10 @@ Three invertible pairs are provided:
 * PF: the classical polar factor retraction, inverted by solving a
   symmetric Sylvester equation.
 * PL: the polar-light retraction, which twists the p-by-p block by a
-  matrix exponential and has a closed-form inverse built from one small
-  SVD and one principal log.
+  matrix exponential and has a closed-form inverse built from the polar
+  decomposition of one p-by-p matrix and one principal log. The polar
+  decomposition is one eigh when that matrix is well conditioned, as
+  it is between nearby points, and one SVD otherwise.
 * PL-Cayley: the PL pair with exp/log replaced by the Cayley transform
   and its inverse.
 
@@ -27,6 +29,7 @@ from . import matfun
 from .core import (
     StiefelPoint,
     TangentVector,
+    _check_tangent_entries,
     _skew_block,
     canonical_point,
 )
@@ -47,7 +50,7 @@ def _polar(M: np.ndarray) -> StiefelPoint:
 
 def pf_ret(xi: TangentVector) -> StiefelPoint:
     """Polar factor retraction: the polar factor of U + Xi (tangency unchecked)."""
-    return _polar(xi.base.U + matfun._check_finite(xi.Xi, "tangent"))
+    return _polar(xi.base.U + _check_tangent_entries(xi.Xi))
 
 
 def pf_inv(base: StiefelPoint, U1: StiefelPoint) -> TangentVector:
@@ -75,19 +78,18 @@ def _pl_ret(xi: TangentVector, twist: _Twist) -> StiefelPoint:
 
 
 def _pl_inv(base: StiefelPoint, U1: StiefelPoint, untwist: _Twist) -> TangentVector:
-    """U0 (untwist(M R.T) - M R.T) + U1 R diag(1/s) R.T.
+    """U0 (untwist(W) - W) + U1 H^-1, with W H the polar decomposition of U0.T U1.
 
-    M diag(s) R.T is the SVD of U0.T U1 and M R.T its polar (Procrustes)
-    factor, which must be in SO(p): untwist refuses det -1. U0.T U1 must be
-    finite and well away from singular.
+    The polar (Procrustes) factor W must be in SO(p): untwist refuses
+    det -1. U0.T U1 must be finite and well away from singular; a
+    well-conditioned one takes matfun's Gram route, any other its SVD.
     """
-    M, s, Rt = np.linalg.svd(matfun._check_square(base.U.T @ U1.U, "C"))
-    if s[-1] <= SIGMA_MIN:
+    W, H_inv, sigma_min = matfun._polar_parts(matfun._check_square(base.U.T @ U1.U, "C"))
+    if sigma_min <= SIGMA_MIN:
         raise DomainError(
             "pl_inv: U0.T U1 nearly singular, outside chart neighborhood"
         )
-    ortho = M @ Rt
-    Xi = base.U @ (untwist(ortho) - ortho) + U1.U @ ((Rt.T * (1.0 / s)) @ Rt)
+    Xi = base.U @ (untwist(W) - W) + U1.U @ H_inv
     return TangentVector(base, Xi)
 
 
@@ -97,7 +99,11 @@ def pl_ret(xi: TangentVector) -> StiefelPoint:
 
 
 def pl_inv(base: StiefelPoint, U1: StiefelPoint) -> TangentVector:
-    """Closed-form inverse of pl_ret: one p-by-p SVD and one principal log."""
+    """Closed-form inverse of pl_ret: one p-by-p polar decomposition and one principal log.
+
+    The polar decomposition of U0.T U1 comes from one eigh of its Gram
+    matrix when U0.T U1 is well conditioned, and from its SVD otherwise.
+    """
     return _pl_inv(base, U1, logm_so)
 
 

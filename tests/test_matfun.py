@@ -246,6 +246,50 @@ class TestInvsqrtmSpd:
             invsqrtm_spd(np.diag([1.0, 1.0 / cond]))
 
 
+def svd_calls(monkeypatch):
+    """A list that records the shape of every np.linalg.svd argument from now on."""
+    calls = []
+    svd = np.linalg.svd
+
+    def recording_svd(M, *args, **kwargs):
+        calls.append(np.shape(M))
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    return calls
+
+
+class TestPolarParts:
+    @pytest.mark.parametrize("p", [10, 100])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_route_limit(self, p, side, monkeypatch):
+        # cond(C.T C) just below (Gram route) or above (SVD) _GRAM_KAPPA;
+        # C = Q diag(s) makes C.T C diagonal, so its 1-norm condition
+        # estimate is exact and equals the 2-norm one
+        rng = np.random.default_rng(p + 4)
+        kappa = matfun._GRAM_KAPPA * (1.0 + side * 1e-3)
+        s = np.sqrt(np.linspace(1.0, 1.0 / kappa, p))
+        Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        calls = svd_calls(monkeypatch)
+        W, H_inv, sigma_min = matfun._polar_parts(Q * s)
+        assert calls == ([(p, p)] if side > 0 else [])
+        assert np.linalg.norm(W - Q) <= 1e-13 * np.sqrt(p)
+        assert np.linalg.norm(H_inv - np.diag(1.0 / s)) <= 1e-13 * np.sqrt(p) / s[-1]
+        assert sigma_min == pytest.approx(s[-1], rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "C", [np.zeros((3, 3)), np.diag([1.0, 1e-200]), np.array([[1.0, 1.0], [1.0, 1.0]])],
+        ids=["zero", "tiny", "rank_one"],
+    )
+    def test_singular_takes_svd(self, C, monkeypatch):
+        # the Cholesky of C.T C fails; the SVD reports sigma_min at roundoff
+        # or below, and an infinite H^-1 raises no RuntimeWarning
+        calls = svd_calls(monkeypatch)
+        sigma_min = matfun._polar_parts(C)[2]
+        assert calls == [C.shape]
+        assert sigma_min <= 1e-16
+
+
 def sylvester_kron_oracle(C):
     """Solve C X + X C.T = 2 I by the dense Kronecker system (small p only)."""
     p = C.shape[0]

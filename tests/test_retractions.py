@@ -75,6 +75,19 @@ def point_with_nan(n, p, seed):
     return StiefelPoint(U)
 
 
+def call_counter(monkeypatch, module, name):
+    """A list that gains one entry per call to module.name from now on."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 class TestPolarFactor:
     def test_zero_tangent(self):
         U0 = rand_point(10, 3, 0)
@@ -416,6 +429,45 @@ class TestDomainEdges:
         err = np.linalg.norm(pl_inv(U0, U1).Xi - Xi) / np.linalg.norm(Xi)
         assert err <= 10 * np.finfo(float).eps / sigma_min
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("sigma_min", [2e-1, 5e-2, 3e-2, 2e-2])
+    def test_pl_inv_accuracy_at_gram_gate(self, sigma_min, seed):
+        # cond(U0.T U1)^2 = 1/sigma_min^2 lies on either side of the Gram
+        # gate at 1e2; a Gram route up to 1e4 misses this bound at 3e-2 and 2e-2
+        U0, U1, Xi = edge_pair(100, 40, sigma_min, seed)
+        err = np.linalg.norm(pl_inv(U0, U1).Xi - Xi) / np.linalg.norm(Xi)
+        assert err <= 10 * np.finfo(float).eps / sigma_min
+
+    def test_gate_rechecks_underestimated_condition(self, monkeypatch):
+        # a condition estimate of 1 sends C.T C, of condition 1e4, to eigh;
+        # the exact check on its eigenvalues must still send C to the SVD
+        U0, U1, _ = edge_pair(100, 40, 1e-2, 1)
+        eighs = call_counter(monkeypatch, np.linalg, "eigh")
+        svds = call_counter(monkeypatch, np.linalg, "svd")
+        Xi = pl_inv(U0, U1).Xi
+        assert svds == [1]
+        eighs_plain = len(eighs)
+        eighs.clear()
+        svds.clear()
+        monkeypatch.setattr(scipy.linalg.lapack, "dpocon", lambda chol, anorm: (1.0, 0))
+        again = pl_inv(U0, U1).Xi
+        assert len(eighs) == eighs_plain + 1
+        assert svds == [1]
+        assert np.linalg.norm(again - Xi) <= 1e-13 * np.linalg.norm(Xi)
+
+    @pytest.mark.parametrize("inv", [pl_inv, pl_cay_inv], ids=lambda f: f.__name__)
+    def test_rejects_negative_determinant_on_gram_route(self, inv, monkeypatch):
+        # U0.T U1 is a generic reflection: condition 1, so no SVD runs, and
+        # the untwist refuses the polar factor of determinant -1
+        U0 = rand_point(12, 5, 2)
+        Q = rand_point(5, 5, 3).U
+        if np.linalg.det(Q) > 0:
+            Q[:, 0] *= -1
+        svds = call_counter(monkeypatch, np.linalg, "svd")
+        with pytest.raises(DomainError):
+            inv(U0, StiefelPoint(U0.U @ Q))
+        assert not svds
+
     @pytest.mark.parametrize("b", [1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8])
     @pytest.mark.parametrize("p", [2, 5, 40])
     @pytest.mark.parametrize("retract", [pf_ret, pl_ret, pl_cay_ret],
@@ -499,3 +551,12 @@ class TestSharedInvariants:
         Xi[2, 1] = np.nan
         with pytest.raises(ValidationError, match="^tangent contains non-finite"):
             retract(TangentVector(U0, Xi))
+
+    @pytest.mark.parametrize("retract", [pf_ret, pl_ret, pl_cay_ret, exp_beta],
+                             ids=lambda f: f.__name__)
+    def test_rejects_overflowing_tangent(self, retract):
+        # ||Xi|| = 1e200: U.T Xi, its norm and the Gram matrices would overflow
+        # with a RuntimeWarning, so the size is checked before any product
+        U0 = rand_point(50, 10, 0)
+        with pytest.raises(ValidationError, match="^tangent too large"):
+            retract(rand_tangent(U0, 1e200, 1))
