@@ -39,12 +39,37 @@ class StiefelPoint:
         return self.U.shape[1]
 
 
+# Largest Frobenius norm of a tangent that the maps accept. They form Gram
+# matrices M.T M with ||M||_F <= 2 ||Xi||_F + sqrt(p) and take Frobenius norms
+# of those, fourth powers of ||M||_F, which stay finite below this bound.
+_TANGENT_MAX_NORM = np.finfo(float).max ** 0.25 / 4
+
+
 @dataclass(frozen=True)
 class TangentVector:
-    """Tangent vector Xi attached to a base point."""
+    """Tangent vector Xi attached to a base point.
+
+    Construction checks that Xi has the base's shape, is finite and has
+    norm at most _TANGENT_MAX_NORM; the maps that form U.T Xi check that
+    it is skew. ||Xi||_F is bounded by sqrt(size) max |Xi|, which squares
+    no entry, so the check itself cannot overflow. A NaN or inf entry
+    fails the same comparison, so the common case costs one max and one min.
+    """
 
     base: StiefelPoint
     Xi: np.ndarray
+
+    def __post_init__(self) -> None:
+        if np.shape(self.Xi) != self.base.U.shape:
+            raise ValidationError(
+                f"tangent shape {np.shape(self.Xi)} does not match base shape {self.base.U.shape}"
+            )
+        big = np.maximum(np.max(self.Xi), -np.min(self.Xi))
+        if not big <= _TANGENT_MAX_NORM / np.sqrt(self.base.U.size):
+            _check_finite(self.Xi, "tangent")
+            raise ValidationError(
+                f"tangent too large: largest entry {big:.3e}, so products with it would overflow"
+            )
 
     @property
     def norm(self) -> float:
@@ -91,57 +116,32 @@ def check_point(U: np.ndarray) -> StiefelPoint:
     return StiefelPoint(U)
 
 
-# Largest Frobenius norm of a tangent that the maps accept. They form Gram
-# matrices M.T M with ||M||_F <= 2 ||Xi||_F + sqrt(p) and take Frobenius norms
-# of those, fourth powers of ||M||_F, which stay finite below this bound.
-_TANGENT_MAX_NORM = np.finfo(float).max ** 0.25 / 4
+def _skew_block(xi: TangentVector) -> np.ndarray:
+    """The exactly skew block A = U.T Xi of a tangent xi.
 
-
-def _check_tangent_entries(Xi: np.ndarray) -> np.ndarray:
-    """Xi, once checked to be finite and of norm at most _TANGENT_MAX_NORM.
-
-    ||Xi||_F is bounded by sqrt(size) max |Xi|, which squares no entry, so
-    the check itself cannot overflow. A NaN or inf entry fails the same
-    comparison, so the common case costs one max and one min.
+    Raises ValidationError when U.T Xi has a symmetric part above roundoff,
+    i.e. when Xi is not tangent at its base.
     """
-    big = np.maximum(np.max(Xi), -np.min(Xi))
-    if not big <= _TANGENT_MAX_NORM / np.sqrt(Xi.size):
-        _check_finite(Xi, "tangent")
-        raise ValidationError(
-            f"tangent too large: largest entry {big:.3e}, so products with it would overflow"
-        )
-    return Xi
-
-
-def _skew_block(base: StiefelPoint, Xi: np.ndarray) -> np.ndarray:
-    """The exactly skew block A = U.T Xi of a tangent Xi.
-
-    Raises ValidationError when Xi is not finite or too large to multiply,
-    or when U.T Xi has a symmetric part above roundoff, i.e. when Xi is not
-    tangent at base.
-    """
-    A = base.U.T @ _check_tangent_entries(Xi)
+    A = xi.base.U.T @ xi.Xi
     defect = np.linalg.norm(A + A.T)
-    if defect > tol_struct(base.p):
+    if defect > tol_struct(xi.base.p):
         raise ValidationError(f"U.T Xi not skew-symmetric (defect {defect:.3e})")
     return 0.5 * (A - A.T)
 
 
 def check_tangent(base: StiefelPoint, Xi: np.ndarray) -> TangentVector:
     """Validate that base.T @ Xi is skew and wrap as a TangentVector."""
-    Xi = np.asarray(Xi, dtype=float)
-    if Xi.shape != base.U.shape:
-        raise ValidationError(
-            f"tangent shape {Xi.shape} does not match base shape {base.U.shape}"
-        )
-    _skew_block(base, Xi)
-    return TangentVector(base, Xi)
+    xi = TangentVector(base, np.asarray(Xi, dtype=float))
+    _skew_block(xi)
+    return xi
 
 
 def project_tangent(base: StiefelPoint, Z: np.ndarray) -> TangentVector:
     """Orthogonal projection Z -> Z - U sym(U.T Z) onto the tangent space."""
     Z = np.asarray(Z, dtype=float)
-    M = base.U.T @ Z
+    if Z.shape != base.U.shape:
+        raise ValidationError(f"Z shape {Z.shape} does not match base shape {base.U.shape}")
+    M = base.U.T @ _check_finite(Z, "Z")
     Xi = Z - base.U @ (0.5 * (M + M.T))
     return TangentVector(base, Xi)
 
@@ -241,7 +241,7 @@ def _geodesic(xi: TangentVector, beta: float) -> Callable[[float], np.ndarray]:
     _check_beta(beta)
     U = xi.base.U
     p = xi.base.p
-    A = _skew_block(xi.base, xi.Xi)
+    A = _skew_block(xi)
     Q, R = np.linalg.qr(xi.Xi - U @ A)
     basis = np.hstack([U, Q])
     head = _skew_flow(np.block([[2.0 * beta * A, -R.T], [R, np.zeros((p, p))]]), p)

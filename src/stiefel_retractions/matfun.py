@@ -45,8 +45,8 @@ def _check_finite(M: np.ndarray, name: str) -> np.ndarray:
 
 def _check_square(M: np.ndarray, name: str) -> np.ndarray:
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValidationError(f"{name} must be square, got shape {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
+        raise ValidationError(f"{name} must be square and non-empty, got shape {M.shape}")
     return _check_finite(M, name)
 
 
@@ -180,7 +180,7 @@ def solve_pf_sylvester(C: np.ndarray) -> np.ndarray:
     Such an X exists exactly when C is positive stable: every eigenvalue has
     a positive real part (Lyapunov). The determinant-scaled Newton iteration
     for sign(C) (Roberts, 1980; Byers, 1987) decides this and finds X: with
-    c = |det C_k|^(-1/p) from the getrf LU, the steps C_{k+1} = (c C_k +
+    c = |det C_k|^(-1/p) from the LU in _inv, the steps C_{k+1} = (c C_k +
     C_k^-1 / c) / 2 and Y_{k+1} = (c Y_k + C_k^-1 Y_k C_k^-T / c) / 2 from
     C_0 = C, Y_0 = 2 I keep C_k X + X C_k.T = Y_k, so X = Y_k / 2 once C_k
     reaches sign(C) = I. Each Y_k is SPD, but the computed X has errors of
@@ -193,15 +193,11 @@ def solve_pf_sylvester(C: np.ndarray) -> np.ndarray:
     """
     C = _check_square(C, "C")
     p, C_norm = C.shape[0], np.linalg.norm(C)
-    lwork = int(scipy.linalg.lapack.dgetri_lwork(p)[0])
     Y = 2.0 * np.eye(p)
     with np.errstate(all="ignore"):  # overflow is caught as a non-finite X
         for _ in range(_SIGN_MAX_STEPS):
-            lu, piv, info = scipy.linalg.lapack.dgetrf(C)
-            if info > 0:
-                raise DomainError(f"solve_pf_sylvester: {_NOT_STABLE}")
-            C_inv = scipy.linalg.lapack.dgetri(lu, piv, lwork=lwork)[0]
-            c = np.exp(-np.mean(np.log(np.abs(np.diagonal(lu)))))
+            C_inv, u_diag = _inv(C, f"solve_pf_sylvester: {_NOT_STABLE}")
+            c = np.exp(-np.mean(np.log(np.abs(u_diag))))
             C_prev, C = C, 0.5 * (c * C + C_inv / c)
             Y = 0.5 * (c * Y + (C_inv @ Y @ C_inv.T) / c)
             err = np.linalg.norm(C - C_prev, 1) ** 2 * np.linalg.norm(C_inv, 1)
@@ -222,25 +218,26 @@ def solve_pf_sylvester(C: np.ndarray) -> np.ndarray:
     return X
 
 
-def _inv(M: np.ndarray, name: str) -> np.ndarray:
-    """M^-1 from one LAPACK dgetrf and dgetri; DomainError when the LU is exactly singular.
+def _inv(M: np.ndarray, singular_message: str) -> tuple[np.ndarray, np.ndarray]:
+    """M^-1 and the diagonal of M's upper LU factor, from one LAPACK dgetrf and dgetri.
 
+    Raises DomainError(singular_message) when the LU is exactly singular.
     With OpenBLAS the blocked dgetri is quicker than a getrs solve with
     p right-hand sides: at p = 400 (1 thread) cay takes 9-12 ms this way
     and 15-16 ms by np.linalg.solve.
     """
     lu, piv, info = scipy.linalg.lapack.dgetrf(M)
     if info > 0:
-        raise DomainError(f"{name} is singular")
+        raise DomainError(singular_message)
     lwork = int(scipy.linalg.lapack.dgetri_lwork(M.shape[0])[0])
-    return scipy.linalg.lapack.dgetri(lu, piv, lwork=lwork)[0]
+    return scipy.linalg.lapack.dgetri(lu, piv, lwork=lwork)[0], np.diagonal(lu)
 
 
 def cay(A: np.ndarray) -> np.ndarray:
     """Cayley transform (I - A/2)^{-1} (I + A/2) = 2 (I - A/2)^{-1} - I; orthogonal for skew A."""
     A = _check_square(A, "A")
     eye = np.eye(A.shape[0])
-    return 2.0 * _inv(eye - 0.5 * A, "cay: I - A/2") - eye
+    return 2.0 * _inv(eye - 0.5 * A, "cay: I - A/2 is singular")[0] - eye
 
 
 def cay_inv(Q: np.ndarray) -> np.ndarray:
@@ -254,5 +251,5 @@ def cay_inv(Q: np.ndarray) -> np.ndarray:
     eye = np.eye(Q.shape[0])
     if np.linalg.det(Q) < 0:
         raise DomainError("cay_inv: Q has negative determinant, so I + Q is singular")
-    A = 2.0 * eye - 4.0 * _inv(eye + Q, "cay_inv: I + Q")
+    A = 2.0 * eye - 4.0 * _inv(eye + Q, "cay_inv: I + Q is singular")[0]
     return 0.5 * (A - A.T)

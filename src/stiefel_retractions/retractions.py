@@ -26,14 +26,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import matfun
-from .core import (
-    StiefelPoint,
-    TangentVector,
-    _check_tangent_entries,
-    _skew_block,
-    canonical_point,
-)
-from .matfun import DomainError, cay, cay_inv, expm_skew, invsqrtm_spd, logm_so
+from .core import StiefelPoint, TangentVector, _skew_block, canonical_point
+from .matfun import DomainError, ValidationError, cay, cay_inv, expm_skew, invsqrtm_spd, logm_so
 
 # Floor on the singular values of U0.T @ U1 below which the PL chart
 # (and its inverse) is treated as degenerate.
@@ -50,7 +44,14 @@ def _polar(M: np.ndarray) -> StiefelPoint:
 
 def pf_ret(xi: TangentVector) -> StiefelPoint:
     """Polar factor retraction: the polar factor of U + Xi (tangency unchecked)."""
-    return _polar(xi.base.U + _check_tangent_entries(xi.Xi))
+    return _polar(xi.base.U + xi.Xi)
+
+
+def _cross(base: StiefelPoint, U1: StiefelPoint) -> np.ndarray:
+    """C = U0.T U1, once U1 is checked to lie on the St(n, p) of base and C to be finite."""
+    if U1.U.shape != base.U.shape:
+        raise ValidationError(f"U1 shape {U1.U.shape} does not match base shape {base.U.shape}")
+    return matfun._check_finite(base.U.T @ U1.U, "C")
 
 
 def pf_inv(base: StiefelPoint, U1: StiefelPoint) -> TangentVector:
@@ -63,7 +64,7 @@ def pf_inv(base: StiefelPoint, U1: StiefelPoint) -> TangentVector:
     angle above pi/2 (X = I / cos(angle) on its block).
     """
     try:
-        X = matfun.solve_pf_sylvester(base.U.T @ U1.U)
+        X = matfun.solve_pf_sylvester(_cross(base, U1))
     except matfun._Undecided as exc:
         raise DomainError(f"pf_inv: Sylvester solve failed ({exc})") from exc
     except DomainError as exc:
@@ -73,7 +74,7 @@ def pf_inv(base: StiefelPoint, U1: StiefelPoint) -> TangentVector:
 
 def _pl_ret(xi: TangentVector, twist: _Twist) -> StiefelPoint:
     """Polar factor of U (twist(A) - A) + Xi; A = U.T Xi must be skew."""
-    A = _skew_block(xi.base, xi.Xi)
+    A = _skew_block(xi)
     return _polar(xi.base.U @ (twist(A) - A) + xi.Xi)
 
 
@@ -84,7 +85,7 @@ def _pl_inv(base: StiefelPoint, U1: StiefelPoint, untwist: _Twist) -> TangentVec
     det -1. U0.T U1 must be finite and well away from singular; a
     well-conditioned one takes matfun's Gram route, any other its SVD.
     """
-    W, H_inv, sigma_min = matfun._polar_parts(matfun._check_square(base.U.T @ U1.U, "C"))
+    W, H_inv, sigma_min = matfun._polar_parts(_cross(base, U1))
     if sigma_min <= SIGMA_MIN:
         raise DomainError(
             "pl_inv: U0.T U1 nearly singular, outside chart neighborhood"
@@ -138,7 +139,7 @@ def param_at_E(c: ChartCoordinates) -> StiefelPoint:
     """Inverse of chart_at_E: pl_ret(E, [A; B]) = [exp(A); B](I + B.T B)^{-1/2}."""
     A, B = matfun._check_square(c.A, "A"), np.asarray(c.B, dtype=float)
     if B.ndim != 2 or B.shape[1] != A.shape[0]:
-        raise matfun.ValidationError(f"B must be m-by-{A.shape[0]}, got shape {B.shape}")
+        raise ValidationError(f"B must be m-by-{A.shape[0]}, got shape {B.shape}")
     matfun._check_finite(B, "B")
     E = canonical_point(A.shape[0] + B.shape[0], A.shape[0])
     return pl_ret(TangentVector(E, np.vstack([A, B])))
