@@ -4,7 +4,10 @@ Everything here operates on p-by-p arrays; the manifold
 routines reduce their work to these kernels plus tall-skinny matrix
 products. All functions are pure and validate their structural
 preconditions (skewness, orthogonality, positive definiteness) before
-computing.
+computing; every argument must be real, finite and of norm at most
+_MAX_NORM. invsqrtm_spd, _polar_parts and logm_so sum a short power
+series (_sym_series) in place of their eigh when the argument is
+provably close to a multiple of I.
 """
 
 from __future__ import annotations
@@ -43,11 +46,78 @@ def _check_finite(M: np.ndarray, name: str) -> np.ndarray:
     return M
 
 
-def _check_square(M: np.ndarray, name: str) -> np.ndarray:
+# Largest Frobenius norm of an argument. The maps form Gram matrices M.T M
+# with ||M||_F <= 2 ||Xi||_F + sqrt(p) and take Frobenius norms of those,
+# fourth powers of ||M||_F, which stay finite below this bound.
+_MAX_NORM = np.finfo(float).max ** 0.25 / 4
+
+
+def _check_entries(M: np.ndarray, name: str) -> np.ndarray:
+    """M as a float array, once it is real, finite and of norm at most _MAX_NORM.
+
+    ||M||_F is bounded by sqrt(size) max |M|, which squares no entry, so
+    the check itself cannot overflow. A NaN or inf entry fails the same
+    comparison, so the common case costs one max and one min.
+    """
+    if np.iscomplexobj(M):
+        raise ValidationError(f"{name} must be real, got dtype {M.dtype}")
     M = np.asarray(M, dtype=float)
+    big = np.maximum(np.max(M), -np.min(M))
+    if not big <= _MAX_NORM / np.sqrt(M.size):
+        _check_finite(M, name)
+        raise ValidationError(
+            f"{name} too large: largest entry {big:.3e}, so products with it would overflow"
+        )
+    return M
+
+
+def _check_square(M: np.ndarray, name: str) -> np.ndarray:
+    M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
         raise ValidationError(f"{name} must be square and non-empty, got shape {M.shape}")
-    return _check_finite(M, name)
+    return _check_entries(M, name)
+
+
+# _sym_series sums at most this degree: 8 p-by-p products, at p = 400 about
+# the cost of the eigh it replaces. Both series below then reach ||X||_2 ~ 0.1.
+_SERIES_DEGREE = 15
+_B = np.cumprod(np.r_[1.0, 1.0 - 0.5 / np.arange(1, _SERIES_DEGREE + 2)])  # |binom(-1/2, k)|
+_INVSQRT_COEFFS = _B * (-1.0) ** np.arange(_B.size)  # (1 + x)^(-1/2)
+# theta / sin(theta) at y = sin^2(theta/2): arcsin(sqrt y) / sqrt(y) times (1 - y)^(-1/2)
+_THETA_OVER_SIN_COEFFS = np.convolve(_B / (2 * np.arange(_B.size) + 1), _B)[: _B.size]
+
+
+def _sym_series(X: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """(sum_k coeffs[k] X^k, rho) for a symmetric X with ||X||_2 <= rho, or None.
+
+    |c_k| must not grow: the degree m is then the least with a tail bound
+    |c[m+1]| rho^(m+1) / (1 - rho) <= eps/4 = 2^-54, and None means m > _SERIES_DEGREE.
+    ||X||_2 is at least the largest column norm, which refuses most such X
+    without a product, and at most rho = sqrt(||X X.T||_1), from one syrk.
+    Horner's rule in X^2 over the pairs c_2j I + c_2j+1 X (Paterson &
+    Stockmeyer, 1973) then takes m // 2 products, m rounded up to odd.
+    """
+
+    def fits(rho: float) -> np.ndarray:  # the degrees m whose tail bound holds
+        r = min(rho, 1.0)
+        tail = np.abs(coeffs[1:]) * r ** np.arange(1, coeffs.size)
+        return np.flatnonzero(tail <= 2.0**-54 * (1.0 - r))
+
+    if not fits(np.sqrt(np.max(np.einsum("ij,ij->j", X, X)))).size:
+        return None
+    X2 = X @ X.T
+    rho = float(np.sqrt(np.linalg.norm(X2, 1)))
+    degrees = fits(rho)
+    if not degrees.size:
+        return None
+    p, top = X.shape[0], int(degrees[0]) | 1
+    R = coeffs[top] * X
+    R.flat[:: p + 1] += coeffs[top - 1]
+    for k in range(top - 2, 0, -2):
+        R = X2 @ R
+        R += coeffs[k] * X
+        R.flat[:: p + 1] += coeffs[k - 1]
+    return R, rho
 
 
 def expm_skew(A: np.ndarray) -> np.ndarray:
@@ -69,13 +139,16 @@ def logm_so(Q: np.ndarray) -> np.ndarray:
     """Principal logarithm of a special orthogonal matrix.
 
     C = (Q + Q.T)/2 commutes with S = (Q - Q.T)/2, so each eigenspace of C
-    is Q-invariant, and one real symmetric eigh of C splits Q in two. On the
-    eigenvalues cos(theta) of C with theta below 2 rad (usually all) the log
-    is S phi(C), phi(c) = arccos(c)/sqrt(1 - c^2) (Gallier & Xu, 2002). The
-    rest, with eigenvectors Vb, is logged from the complex Schur form of the
-    small block Vb.T Q Vb, which stays accurate up to the branch boundary.
-    The split moves up to the next wide gap in C's spectrum, so it never
-    cuts a rotation plane. The result is exactly skew.
+    is Q-invariant. On the eigenvalues cos(theta) of C with theta below 2
+    rad (usually all) the log is S phi(C), phi = theta / sin(theta)
+    (Gallier & Xu, 2002). When every angle is below about 0.66 rad,
+    _sym_series sums phi as a series in Y = (I - C)/2, of eigenvalues
+    sin^2(theta/2), and neither refusal below can apply. Otherwise one
+    real symmetric eigh of C splits Q in two. The rest, with eigenvectors
+    Vb, is logged from the complex Schur form of the small block Vb.T Q Vb,
+    which stays accurate up to the branch boundary. The split moves up to
+    the next wide gap in C's spectrum, so it never cuts a rotation plane.
+    The result is exactly skew.
 
     Raises DomainError, decided on the block, when a rotation angle
     reaches pi; this also catches det(Q) = -1, whose eigenvalue -1 always
@@ -86,7 +159,14 @@ def logm_so(Q: np.ndarray) -> np.ndarray:
     defect = np.linalg.norm(Q.T @ Q - np.eye(p))
     if defect > tol_struct(p):
         raise ValidationError(f"logm_so: input not orthogonal (defect {defect:.3e})")
-    w, V = np.linalg.eigh(0.5 * (Q + Q.T))
+    C = 0.5 * (Q + Q.T)
+    Y = -0.5 * C
+    Y.flat[:: p + 1] += 0.5
+    series = _sym_series(Y, _THETA_OVER_SIN_COEFFS)
+    if series is not None:
+        A = (0.5 * (Q - Q.T)) @ series[0]
+        return 0.5 * (A - A.T)
+    w, V = np.linalg.eigh(C)
     k = np.searchsorted(w, np.cos(_EIGH_MAX_ANGLE) + 1e-10, side="right")
     if k:
         k += np.argmax(np.append(np.diff(w[k - 1 :]) >= _SPLIT_GAP, True))
@@ -106,10 +186,31 @@ def logm_so(Q: np.ndarray) -> np.ndarray:
     return 0.5 * (A - A.T)
 
 
+def _invsqrt_series(S: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """(S^(-1/2), exactly symmetric, and a lower bound on sqrt(lambda_min(S))), or None.
+
+    _sym_series in E = S/mu - I, mu = trace(S)/p: ||E||_2 <= rho < 1 proves
+    S positive definite with eigenvalues in [mu (1 - rho), mu (1 + rho)].
+    |S_ij| < 2 mu is necessary for that and keeps S/mu finite.
+    """
+    p = S.shape[0]
+    mu = np.trace(S) / p
+    if not np.maximum(np.max(S), -np.min(S)) < 2.0 * mu:
+        return None
+    E = S / mu
+    E.flat[:: p + 1] -= 1.0
+    series = _sym_series(E, _INVSQRT_COEFFS)
+    if series is None:
+        return None
+    R, rho = series
+    return (0.5 / np.sqrt(mu)) * (R + R.T), float(np.sqrt(mu * (1.0 - rho)))
+
+
 def invsqrtm_spd(S: np.ndarray) -> np.ndarray:
     """Inverse square root of a symmetric positive definite matrix.
 
-    Computed from S = V diag(w) V.T as T = Y Y.T with Y = V diag(w)^(-1/4),
+    An S close to a multiple of I takes _invsqrt_series. Any other is
+    computed from S = V diag(w) V.T as T = Y Y.T with Y = V diag(w)^(-1/4),
     the unique SPD matrix with T @ S @ T = I; numpy forms Y @ Y.T with BLAS
     syrk, so T is exactly symmetric. Its relative error is about
     eps * cond(S) (Higham, 1986), so S is refused with DomainError once
@@ -119,7 +220,11 @@ def invsqrtm_spd(S: np.ndarray) -> np.ndarray:
     defect = np.linalg.norm(S - S.T)
     if defect > tol_struct(S.shape[0]) * np.linalg.norm(S):
         raise ValidationError(f"invsqrtm_spd: input not symmetric (defect {defect:.3e})")
-    w, V = np.linalg.eigh(0.5 * (S + S.T))
+    S = 0.5 * (S + S.T)
+    series = _invsqrt_series(S)
+    if series is not None:
+        return series[0]
+    w, V = np.linalg.eigh(S)
     if w[0] <= 0:
         raise ValidationError(
             f"invsqrtm_spd: input not positive definite (smallest eigenvalue {w[0]:.3e})"
@@ -139,8 +244,10 @@ _GRAM_KAPPA = 1e2
 def _polar_parts(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Polar factors of a square C: (C H^-1, H^-1, sigma_min), with H = (C.T C)^(1/2).
 
-    A well-conditioned C takes the Gram route (Higham, 1986): H^-1 = Y Y.T
-    with Y = V diag(w)^(-1/4) from S = C.T C = V diag(w) V.T, about half the
+    When S = C.T C is close to mu I, H^-1 comes from _invsqrt_series and
+    sigma_min is its lower bound sqrt(mu (1 - rho)). Any other
+    well-conditioned C takes the Gram route (Higham, 1986): H^-1 = Y Y.T
+    with Y = V diag(w)^(-1/4) from S = V diag(w) V.T, about half the
     cost of an SVD. Its error grows as eps * cond(S), so a Cholesky factor
     of S and its LAPACK 1-norm condition estimate (dpotrf, dpocon) gate the
     eigh, and the exact cond(S) = w[-1] / w[0] checks it again, since the
@@ -148,7 +255,11 @@ def _polar_parts(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     with H^-1 = R diag(1/s) R.T, which is huge or not finite when C is
     (nearly) singular, so a caller checks sigma_min before using it.
     """
+    C = _check_square(C, "C")
     S = C.T @ C
+    series = _invsqrt_series(S)
+    if series is not None:
+        return C @ series[0], series[0], series[1]
     chol, info = scipy.linalg.lapack.dpotrf(S)
     if info == 0 and scipy.linalg.lapack.dpocon(chol, np.linalg.norm(S, 1))[0] * _GRAM_KAPPA >= 1:
         w, V = np.linalg.eigh(S)
@@ -249,7 +360,7 @@ def cay_inv(Q: np.ndarray) -> np.ndarray:
     """
     Q = _check_square(Q, "Q")
     eye = np.eye(Q.shape[0])
-    if np.linalg.det(Q) < 0:
+    if np.linalg.slogdet(Q)[0] < 0:
         raise DomainError("cay_inv: Q has negative determinant, so I + Q is singular")
     A = 2.0 * eye - 4.0 * _inv(eye + Q, "cay_inv: I + Q is singular")[0]
     return 0.5 * (A - A.T)

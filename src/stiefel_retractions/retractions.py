@@ -6,9 +6,10 @@ Three invertible pairs are provided:
   symmetric Sylvester equation.
 * PL: the polar-light retraction, which twists the p-by-p block by a
   matrix exponential and has a closed-form inverse built from the polar
-  decomposition of one p-by-p matrix and one principal log. The polar
-  decomposition is one eigh when that matrix is well conditioned, as
-  it is between nearby points, and one SVD otherwise.
+  decomposition of one p-by-p matrix and one principal log. Between
+  nearby points both are short power series; otherwise the polar
+  decomposition is one eigh when that matrix is well conditioned and
+  one SVD when it is not.
 * PL-Cayley: the PL pair with exp/log replaced by the Cayley transform
   and its inverse.
 
@@ -48,10 +49,10 @@ def pf_ret(xi: TangentVector) -> StiefelPoint:
 
 
 def _cross(base: StiefelPoint, U1: StiefelPoint) -> np.ndarray:
-    """C = U0.T U1, once U1 is checked to lie on the St(n, p) of base and C to be finite."""
+    """C = U0.T U1, once U1 is checked to lie on the St(n, p) of base; the kernels check C."""
     if U1.U.shape != base.U.shape:
         raise ValidationError(f"U1 shape {U1.U.shape} does not match base shape {base.U.shape}")
-    return matfun._check_finite(base.U.T @ U1.U, "C")
+    return base.U.T @ U1.U
 
 
 def pf_inv(base: StiefelPoint, U1: StiefelPoint) -> TangentVector:
@@ -102,8 +103,9 @@ def pl_ret(xi: TangentVector) -> StiefelPoint:
 def pl_inv(base: StiefelPoint, U1: StiefelPoint) -> TangentVector:
     """Closed-form inverse of pl_ret: one p-by-p polar decomposition and one principal log.
 
-    The polar decomposition of U0.T U1 comes from one eigh of its Gram
-    matrix when U0.T U1 is well conditioned, and from its SVD otherwise.
+    The polar decomposition of U0.T U1 comes from a power series when it
+    is close to a multiple of an orthogonal matrix, from one eigh of its
+    Gram matrix when it is well conditioned, and from its SVD otherwise.
     """
     return _pl_inv(base, U1, logm_so)
 

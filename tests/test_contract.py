@@ -18,6 +18,7 @@ from stiefel_retractions.core import (
 from stiefel_retractions.matfun import (
     DomainError,
     ValidationError,
+    _polar_parts,
     cay,
     cay_inv,
     expm_skew,
@@ -51,6 +52,13 @@ def test_retraction_refuses_tangent_of_other_shape(retract, shape):
         retract(TangentVector(rand_point(10, 3, 0), np.zeros(shape)))
 
 
+@pytest.mark.parametrize("retract", [pf_ret, pl_ret, pl_cay_ret, exp_beta], ids=fn_id)
+def test_retraction_refuses_complex_tangent(retract):
+    U0 = rand_point(10, 3, 0)
+    with pytest.raises(TYPED, match="^tangent must be real"):
+        retract(TangentVector(U0, rand_tangent(U0, 1.0, 1).Xi * (1 + 1e-3j)))
+
+
 @pytest.mark.parametrize("shape", [(12, 3), (8, 3), (10, 4), (10, 2)], ids=shape_id)
 @pytest.mark.parametrize("inverse", [pf_inv, pl_inv, pl_cay_inv], ids=fn_id)
 def test_inverse_refuses_points_of_other_shape(inverse, shape):
@@ -66,6 +74,26 @@ def test_kernel_refuses_empty_matrix(kernel, capfd):
         kernel(np.zeros((0, 0)))
     # refused before LAPACK, which would print an illegal-argument report
     assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize(
+    "kernel, M",
+    [
+        pytest.param(kernel, M, id=kernel.__name__)
+        for kernel, M in [
+            (logm_so, 1e200 * np.eye(3)),
+            (invsqrtm_spd, 1e308 * np.eye(3)),
+            (solve_pf_sylvester, 1e300 * np.eye(3)),
+            (cay_inv, 1e300 * np.eye(3)),
+            (expm_skew, np.array([[0.0, -1e300], [1e300, 0.0]])),
+            (_polar_parts, 1e200 * np.eye(3)),
+        ]
+    ],
+)
+def test_kernel_refuses_overflowing_matrix(kernel, M):
+    # each product or norm of M would overflow; the size bound refuses M first
+    with pytest.raises(ValidationError, match="too large"):
+        kernel(M)
 
 
 @pytest.mark.parametrize(

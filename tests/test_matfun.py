@@ -246,17 +246,98 @@ class TestInvsqrtmSpd:
             invsqrtm_spd(np.diag([1.0, 1.0 / cond]))
 
 
-def svd_calls(monkeypatch):
-    """A list that records the shape of every np.linalg.svd argument from now on."""
+def linalg_calls(monkeypatch, name):
+    """A list that records the shape of every np.linalg.<name> argument from now on."""
     calls = []
-    svd = np.linalg.svd
+    fn = getattr(np.linalg, name)
 
-    def recording_svd(M, *args, **kwargs):
+    def recording(M, *args, **kwargs):
         calls.append(np.shape(M))
-        return svd(M, *args, **kwargs)
+        return fn(M, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(np.linalg, name, recording)
     return calls
+
+
+def svd_calls(monkeypatch):
+    return linalg_calls(monkeypatch, "svd")
+
+
+def series_limit(coeffs):
+    """The largest rho, to 1e-12 relative, with |c[16]| rho^16 <= eps/4 (1 - rho).
+
+    The tail bound of _sym_series at its degree cap: the 2-norm up to which it sums coeffs.
+    """
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        fits = abs(coeffs[-1]) * mid ** (coeffs.size - 1) <= 0.25 * np.finfo(float).eps * (1 - mid)
+        lo, hi = (mid, hi) if fits else (lo, mid)
+    return lo
+
+
+def near_identity_spd(p, r, rng):
+    """(S, S^-1/2) for S = 2.5 Q diag(1 + r s) Q.T with signs s = -1, 1, -1, ...
+
+    E = S / mu - I = r Q diag(s) Q.T squares to r^2 I, so the series gate
+    bound sqrt(||E^2||_1) equals ||E||_2 = r, while diag(E) stays small.
+    """
+    Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    w = 2.5 * (1.0 + r * np.where(np.arange(p) % 2, 1.0, -1.0))
+    S = (Q * w) @ Q.T
+    return 0.5 * (S + S.T), (Q * w**-0.5) @ Q.T
+
+
+class TestSeriesRoute:
+    """The series route of invsqrtm_spd, _polar_parts and logm_so, on either side of its limit."""
+
+    @pytest.mark.parametrize(
+        "coeffs", [matfun._INVSQRT_COEFFS, matfun._THETA_OVER_SIN_COEFFS], ids=["invsqrt", "phi"]
+    )
+    def test_coefficients_do_not_grow(self, coeffs):
+        # _sym_series's tail bound needs non-increasing magnitudes
+        assert np.all(np.diff(np.abs(coeffs)) <= 0)
+        assert 0.1 < series_limit(coeffs) < 0.11
+
+    @pytest.mark.parametrize("p", [10, 100])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_invsqrtm_route_limit(self, p, side, monkeypatch):
+        r = series_limit(matfun._INVSQRT_COEFFS) * (1.0 + side * 1e-3)
+        S, T_ref = near_identity_spd(p, r, np.random.default_rng(p + 5))
+        calls = linalg_calls(monkeypatch, "eigh")
+        T = invsqrtm_spd(S)
+        assert calls == ([(p, p)] if side > 0 else [])
+        assert np.linalg.norm(T - T_ref) <= 1e-14 * np.linalg.norm(T_ref)
+        assert np.array_equal(T, T.T)
+
+    @pytest.mark.parametrize("p", [10, 100])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_polar_parts_route_limit(self, p, side, monkeypatch):
+        # C = W0 S^(1/2) has C.T C = S; on the series route sigma_min is the
+        # lower bound sqrt(mu (1 - rho)), here equal to the exact one
+        rng = np.random.default_rng(p + 6)
+        r = series_limit(matfun._INVSQRT_COEFFS) * (1.0 + side * 1e-3)
+        S, T_ref = near_identity_spd(p, r, rng)
+        W0 = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        calls = linalg_calls(monkeypatch, "eigh")
+        W, H_inv, sigma_min = matfun._polar_parts(W0 @ np.linalg.inv(T_ref))
+        assert calls == ([(p, p)] if side > 0 else [])
+        assert np.linalg.norm(W - W0) <= 1e-14 * np.linalg.norm(W0)
+        assert np.linalg.norm(H_inv - T_ref) <= 1e-14 * np.linalg.norm(T_ref)
+        assert sigma_min == pytest.approx(np.sqrt(2.5 * (1.0 - r)), rel=1e-13)
+
+    @pytest.mark.parametrize("p", [10, 100])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_logm_route_limit(self, p, side, monkeypatch):
+        # every plane at the angle theta with sin^2(theta/2) just below or
+        # above the limit: Y = (I - (Q + Q.T)/2)/2 = sin^2(theta/2) I
+        y = series_limit(matfun._THETA_OVER_SIN_COEFFS) * (1.0 + side * 1e-3)
+        theta = 2.0 * np.arcsin(np.sqrt(y))
+        A = skew_with_angles(np.full(p // 2, theta), p, np.random.default_rng(p + 7))
+        calls = linalg_calls(monkeypatch, "eigh")
+        L = logm_so(expm_skew(A))
+        assert calls == ([(p, p)] if side > 0 else [])
+        assert np.linalg.norm(L - A) <= 1e-14 * np.linalg.norm(A)
 
 
 class TestPolarParts:

@@ -468,6 +468,32 @@ class TestDomainEdges:
             inv(U0, StiefelPoint(U0.U @ Q))
         assert not svds
 
+    def test_nearby_pair_takes_no_eigh(self, monkeypatch):
+        # U0.T U1 and its polar factor are close enough to I (series gate
+        # bounds about 0.08 and 0.013 here) that no p-by-p eigh runs
+        U0 = rand_point(200, 80, 0)
+        xi = rand_tangent(U0, np.pi / 2, 10)
+        U1 = pl_ret(xi)
+        M, _, Rt = np.linalg.svd(U0.U + xi.Xi, full_matrices=False)
+        eighs = call_counter(monkeypatch, np.linalg, "eigh")
+        eta = pl_inv(U0, U1)
+        Y = pf_ret(xi)
+        assert eighs == []
+        assert np.linalg.norm(eta.Xi - xi.Xi) <= 1e-12 * xi.norm
+        assert np.linalg.norm(Y.U - M @ Rt) <= 1e-13 * np.sqrt(80)
+
+    @pytest.mark.parametrize("kind", ["pf", "pl", "pl_cayley"])
+    def test_chart_edge_retraction_takes_eigh(self, kind, monkeypatch):
+        # at sigma_min(U0.T U1) = 1e-3 the inverse returns a tangent of norm
+        # ~1e3, whose retraction's Gram matrix is far outside the series gate
+        ret, inv = RETRACTION_PAIRS[kind]
+        U0, U1, _ = edge_pair(100, 40, 1e-3, 0)
+        xi = inv(U0, U1)
+        eighs = call_counter(monkeypatch, np.linalg, "eigh")
+        again = ret(xi)
+        assert eighs == [1]
+        assert np.linalg.norm(again.U - U1.U) <= 1e-10 * np.sqrt(40)
+
     @pytest.mark.parametrize("b", [1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8])
     @pytest.mark.parametrize("p", [2, 5, 40])
     @pytest.mark.parametrize("retract", [pf_ret, pl_ret, pl_cay_ret],
