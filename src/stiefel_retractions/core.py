@@ -89,12 +89,12 @@ def canonical_point(n: int, p: int) -> StiefelPoint:
 
 def check_point(U: np.ndarray) -> StiefelPoint:
     """Validate column-orthonormality and wrap U as a StiefelPoint."""
-    U = np.asarray(U, dtype=float)
+    U = np.asarray(U)
     if U.ndim != 2:
         raise ValidationError(f"expected a matrix, got shape {U.shape}")
     n, p = U.shape
     _check_sizes(n, p)
-    _check_finite(U, "point")
+    U = _check_entries(U, "point")
     defect = np.linalg.norm(U.T @ U - np.eye(p))
     if defect > tol_struct(p):
         raise ValidationError(

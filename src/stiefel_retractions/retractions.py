@@ -139,10 +139,10 @@ def chart_at_E(U: StiefelPoint) -> ChartCoordinates:
 
 def param_at_E(c: ChartCoordinates) -> StiefelPoint:
     """Inverse of chart_at_E: pl_ret(E, [A; B]) = [exp(A); B](I + B.T B)^{-1/2}."""
-    A, B = matfun._check_square(c.A, "A"), np.asarray(c.B, dtype=float)
+    A, B = matfun._check_square(c.A, "A"), np.asarray(c.B)
     if B.ndim != 2 or B.shape[1] != A.shape[0]:
         raise ValidationError(f"B must be m-by-{A.shape[0]}, got shape {B.shape}")
-    matfun._check_finite(B, "B")
+    B = matfun._check_entries(B, "B")
     E = canonical_point(A.shape[0] + B.shape[0], A.shape[0])
     return pl_ret(TangentVector(E, np.vstack([A, B])))
 

@@ -10,6 +10,7 @@ import pytest
 
 from stiefel_retractions.core import (
     TangentVector,
+    check_point,
     exp_beta,
     project_tangent,
     rand_point,
@@ -26,7 +27,16 @@ from stiefel_retractions.matfun import (
     logm_so,
     solve_pf_sylvester,
 )
-from stiefel_retractions.retractions import pf_inv, pf_ret, pl_cay_inv, pl_cay_ret, pl_inv, pl_ret
+from stiefel_retractions.retractions import (
+    ChartCoordinates,
+    param_at_E,
+    pf_inv,
+    pf_ret,
+    pl_cay_inv,
+    pl_cay_ret,
+    pl_inv,
+    pl_ret,
+)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -118,3 +128,35 @@ def test_tangent_refused_when_built(make):
     # no map, and no inner product, ever sees a non-finite or overflowing tangent
     with pytest.raises(ValidationError, match="^tangent (contains non-finite|too large)"):
         make(rand_point(10, 3, 0))
+
+
+def skew_2x2(a):
+    return np.array([[0.0, -a], [a, 0.0]])
+
+
+# Skew entries whose exponential is no longer accurate: at the first three
+# expm returns ||Q.T Q - I|| of 1.6e-7, 1.3e-2 and 1.2e3, at 1e30 it overflows.
+LARGE_SKEW = [1e8, 1e12, 1e15, 1e30]
+
+
+@pytest.mark.parametrize("a", LARGE_SKEW, ids=lambda a: f"{a:.0e}")
+def test_expm_skew_refuses_norm_too_large(a):
+    with pytest.raises(DomainError, match="too large to exponentiate"):
+        expm_skew(skew_2x2(a))
+
+
+@pytest.mark.parametrize("a", LARGE_SKEW, ids=lambda a: f"{a:.0e}")
+def test_param_at_E_refuses_skew_block_too_large(a):
+    # an exactly skew A reaches expm_skew; the polar factor would hide its error
+    with pytest.raises(DomainError, match="too large to exponentiate"):
+        param_at_E(ChartCoordinates(skew_2x2(a), np.zeros((3, 2))))
+
+
+def test_check_point_refuses_complex():
+    with pytest.raises(ValidationError, match="^point must be real"):
+        check_point(np.eye(3, 2) * (1 + 1e-3j))
+
+
+def test_param_at_E_refuses_complex_B():
+    with pytest.raises(ValidationError, match="^B must be real"):
+        param_at_E(ChartCoordinates(np.zeros((2, 2)), np.zeros((3, 2)) * (1 + 1e-3j)))

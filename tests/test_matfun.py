@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from stiefel_retractions import matfun
+from stiefel_retractions.core import rand_point, rand_tangent
 from stiefel_retractions.matfun import (
     DomainError,
     ValidationError,
@@ -13,6 +14,7 @@ from stiefel_retractions.matfun import (
     logm_so,
     solve_pf_sylvester,
 )
+from stiefel_retractions.retractions import pl_ret
 
 
 def random_skew(p, rng, scale=1.0):
@@ -70,8 +72,10 @@ class TestExpmSkew:
             expm_skew(np.eye(3))
 
     def test_skew_defect_relative_to_norm(self):
-        # a symmetric part at roundoff of ||A|| = 1e10 is accepted
-        A = random_skew(4, np.random.default_rng(2), scale=1e10)
+        # a symmetric part of 1e-5, far above the absolute tol_struct(4) but
+        # at roundoff of ||A|| ~ 2.6e7, is accepted; 1e7 is the largest
+        # decade whose norm is still exponentiated accurately
+        A = random_skew(4, np.random.default_rng(2), scale=1e7)
         A[0, 1] += 1e-5
         expm_skew(A)
 
@@ -529,6 +533,139 @@ class TestSolvePfSylvester:
         # definite in exact arithmetic but not certifiably in floating point
         with pytest.raises(matfun._Undecided, match="ill-conditioned"):
             solve_pf_sylvester(planar_rotation(np.pi / 2))
+
+
+def inv_calls(monkeypatch):
+    """A list that records a copy of every matrix matfun._inv inverts from now on."""
+    calls = []
+    fn = matfun._inv
+
+    def recording(M, *args):
+        calls.append(np.array(M))
+        return fn(M, *args)
+
+    monkeypatch.setattr(matfun, "_inv", recording)
+    return calls
+
+
+def cayley_inverse(A):
+    """C = (I - A)(I + A)^-1, whose Cayley transform (I + C)^-1 (I - C) is A."""
+    eye = np.eye(A.shape[0])
+    return (eye - A) @ np.linalg.inv(eye + A)
+
+
+def newton_only(monkeypatch, C):
+    """solve_pf_sylvester(C) with the squared Smith route turned off."""
+    with monkeypatch.context() as m:
+        m.setattr(matfun, "_smith_doubling", lambda C, C_norm: None)
+        return solve_pf_sylvester(C)
+
+
+def outcome(solve, C):
+    """X, or the class and message of the typed error solve raises."""
+    try:
+        return solve(C)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+# Inputs on both sides of the Smith route and of the PF domain: near I,
+# at the route limit, not positive stable, undecidable, and near-defective.
+ROUTE_CASES = {
+    "near_I_0.01": lambda rng: np.eye(12) + 0.01 * rng.standard_normal((12, 12)),
+    "near_I_0.05": lambda rng: np.eye(12) + 0.05 * rng.standard_normal((12, 12)),
+    "near_I_0.2": lambda rng: np.eye(12) + 0.2 * rng.standard_normal((12, 12)),
+    "cayley_below_cap": lambda rng: cayley_inverse(
+        0.99 * matfun._SMITH_CAP * np.linalg.qr(rng.standard_normal((12, 12)))[0]
+    ),
+    "pf_overlap_0.5": lambda rng: pf_overlap(40, 8, 0.5, rng),
+    "pf_overlap_4": lambda rng: pf_overlap(40, 8, 4.0, rng),
+    "complex_pairs": lambda rng: complex_pair_matrix(9, rng),
+    "near_defective": lambda rng: near_defective(6, 1e-4, rng),
+    "rotation_below_half_pi": lambda rng: rotation_edge(np.pi / 2 - 1e-4, 40, rng),
+    "rotation_above_half_pi": lambda rng: rotation_edge(np.pi / 2 + 1e-4, 40, rng),
+    "rotation_at_half_pi": lambda rng: planar_rotation(np.pi / 2),
+    "quarter_turn": lambda rng: np.array([[0.0, -1.0], [1.0, 0.0]]),
+    "indefinite": lambda rng: np.diag([1.0, -1.0]),
+    "minus_identity": lambda rng: -np.eye(3),
+}
+
+
+class TestSmithRoute:
+    """The squared Smith route of solve_pf_sylvester, and its hand-over to Newton."""
+
+    @pytest.mark.parametrize("p", [8, 30])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_route_limit(self, p, side, monkeypatch):
+        # A = r W, W orthogonal: A A.T = r^2 I, so the bound rho equals ||A||_2 = r
+        rng = np.random.default_rng(p + 8)
+        r = matfun._SMITH_CAP * (1.0 + side * 1e-3)
+        C = cayley_inverse(r * np.linalg.qr(rng.standard_normal((p, p)))[0])
+        calls = inv_calls(monkeypatch)
+        X = solve_pf_sylvester(C)
+        took_newton = any(np.array_equal(M, C) for M in calls)
+        assert took_newton == (side > 0)
+        if side < 0:
+            assert len(calls) == 1
+        X_ref = sylvester_kron_oracle(C)
+        assert np.linalg.norm(X - X_ref) <= 1e-13 * np.linalg.norm(X_ref)
+
+    @pytest.mark.parametrize("case", ROUTE_CASES)
+    def test_refuses_nothing_newton_accepts(self, case, monkeypatch):
+        # the route returns an X only where Newton returns the same X; it never raises
+        C = ROUTE_CASES[case](np.random.default_rng(len(case)))
+        X_smith = matfun._smith_doubling(C, np.linalg.norm(C))
+        X_newton = outcome(lambda C: newton_only(monkeypatch, C), C)
+        if X_smith is not None:
+            assert isinstance(X_newton, np.ndarray)
+            assert np.linalg.norm(X_smith - X_newton) <= 1e-13 * np.linalg.norm(X_newton)
+        X = outcome(solve_pf_sylvester, C)
+        if isinstance(X_newton, np.ndarray):
+            assert np.linalg.norm(X - X_newton) <= 1e-13 * np.linalg.norm(X_newton)
+        else:
+            assert X == X_newton
+        assert (X_smith is not None) == case.startswith(("near_I_0.0", "cayley", "pf_overlap_0"))
+
+    def test_singular_i_plus_c_falls_through(self, monkeypatch):
+        # with the gate opened up, -I reaches the LU of I + C = 0; Newton then refuses it
+        monkeypatch.setattr(matfun, "_SMITH_CAP", 0.999)
+        calls = inv_calls(monkeypatch)
+        with pytest.raises(DomainError, match="not positive stable"):
+            solve_pf_sylvester(-np.eye(3))
+        assert np.array_equal(calls[0], np.zeros((3, 3)))
+
+    @pytest.mark.parametrize(
+        "delta, sigma_min",
+        [(d, None) for d in (1e-1, 1e-2, 1e-3, 1e-4)]
+        + [(None, s) for s in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)],
+    )
+    def test_edge_pairs_rejected_before_inv(self, delta, sigma_min, monkeypatch):
+        # C = exp(A) V diag(c) V.T, shaped as geodesic_edge's pairs at p = 100:
+        # a rotation angle near pi, or sigma_min(C) = c_0 small
+        p, rng = 100, np.random.default_rng(100)
+        if delta is not None:
+            angles = rng.uniform(0.0, np.pi / 2, p // 2)
+            angles[0] = np.pi - delta
+            b = rng.uniform(0.0, 0.1, p)
+        else:
+            angles = rng.uniform(0.0, 1.0, p // 2)
+            b = rng.uniform(0.0, 1.0, p)
+            b[0] = np.sqrt(1.0 / sigma_min**2 - 1.0)
+        V = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        C = expm_skew(skew_with_angles(angles, p, rng)) @ (V / np.sqrt(1.0 + b**2)) @ V.T
+        calls = inv_calls(monkeypatch)
+        assert matfun._smith_doubling(C, np.linalg.norm(C)) is None
+        assert calls == []
+
+    def test_pullback_pair_matches_newton(self, monkeypatch):
+        # n = 1000, p = 400, U1 = pl_ret of a tangent of norm pi/2: three doublings
+        U0 = rand_point(1000, 400, 0)
+        C = U0.U.T @ pl_ret(rand_tangent(U0, np.pi / 2, 1)).U
+        X = solve_pf_sylvester(C)
+        X_newton = newton_only(monkeypatch, C)
+        assert np.linalg.norm(X - X_newton) <= 1e-14 * np.linalg.norm(X_newton)
+        res = np.linalg.norm(C @ X + X @ C.T - 2.0 * np.eye(400))
+        assert res <= 5e-15 * np.linalg.norm(X)
 
 
 class TestCayley:

@@ -88,6 +88,13 @@ def call_counter(monkeypatch, module, name):
     return calls
 
 
+def newton_route_pair():
+    """(U0, U1) at distance 4, whose Cayley transform of U0.T U1 has ||A||_2 = 0.42:
+    above the squared Smith cap, so solve_pf_sylvester takes the Newton iteration."""
+    U0 = rand_point(40, 8, 0)
+    return U0, pf_ret(rand_tangent(U0, 4.0, np.random.default_rng(1)))
+
+
 class TestPolarFactor:
     def test_zero_tangent(self):
         U0 = rand_point(10, 3, 0)
@@ -161,19 +168,24 @@ class TestPolarFactor:
             return (*out, 1)
 
         monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
-        U0 = rand_point(20, 5, 0)
-        U1 = pf_ret(rand_tangent(U0, 0.5, np.random.default_rng(1)))
+        U0, U1 = newton_route_pair()
         with pytest.raises(DomainError, match=message):
             pf_inv(U0, U1)
 
     def test_iteration_cap_is_not_a_domain_refusal(self, monkeypatch):
         monkeypatch.setattr(matfun, "_SIGN_MAX_STEPS", 1)
-        U0 = rand_point(20, 5, 0)
-        U1 = pf_ret(rand_tangent(U0, 0.5, np.random.default_rng(1)))
+        U0, U1 = newton_route_pair()
         with pytest.raises(
             DomainError, match="^pf_inv: Sylvester solve failed .*did not converge in 1 steps"
         ):
             pf_inv(U0, U1)
+
+    def test_newton_route_pair_takes_newton(self):
+        # the two tests above exercise the Newton iteration only if the
+        # squared Smith route turns their pair down
+        U0, U1 = newton_route_pair()
+        C = U0.U.T @ U1.U
+        assert matfun._smith_doubling(C, np.linalg.norm(C)) is None
 
 
 class TestPolarLight:
@@ -295,6 +307,12 @@ class TestChartAtE:
         N = (V * w**-0.5) @ V.T
         expected = np.vstack([N, B0 @ N])
         assert np.allclose(param_at_E(ChartCoordinates(np.zeros((2, 2)), B0)).U, expected)
+
+    def test_square_point_has_empty_B(self):
+        # n = p: B is 0-by-p and the point is the rotation exp(A)
+        A = np.array([[0.0, -0.3], [0.3, 0.0]])
+        U = param_at_E(ChartCoordinates(A, np.zeros((0, 2))))
+        assert np.allclose(U.U, expm_skew(A))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_roundtrip(self, seed):
