@@ -53,6 +53,8 @@ class ExperimentConfig:
             raise ValidationError("steps must be >= 2")
         if self.repeats < 1:
             raise ValidationError("repeats must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not (np.isfinite(self.distance) and self.distance >= 0):
             raise ValidationError(f"distance must be finite and nonnegative, got {self.distance}")
         if not self.kinds:
@@ -75,12 +77,16 @@ class TimingRecord:
     roundtrip_norm_mean: float
 
 
-def gen_triple(cfg: ExperimentConfig) -> tuple[StiefelPoint, TangentVector, StiefelPoint]:
-    """Seeded triple (U0, xi, U1) with U1 = Exp_{U0}(xi) and ||xi||_F = distance."""
+def gen_tangent(cfg: ExperimentConfig) -> TangentVector:
+    """Seeded tangent xi at a seeded point U0, with ||xi||_F = distance."""
     rng = np.random.default_rng(cfg.seed)
-    U0 = rand_point(cfg.n, cfg.p, rng)
-    xi = rand_tangent(U0, cfg.distance, rng)
-    return U0, xi, exp_beta(xi, BETA_EUCLIDEAN)
+    return rand_tangent(rand_point(cfg.n, cfg.p, rng), cfg.distance, rng)
+
+
+def gen_triple(cfg: ExperimentConfig) -> tuple[StiefelPoint, TangentVector, StiefelPoint]:
+    """gen_tangent's (U0, xi) and U1 = Exp_{U0}(xi)."""
+    xi = gen_tangent(cfg)
+    return xi.base, xi, exp_beta(xi, BETA_EUCLIDEAN)
 
 
 def _deviations(

@@ -10,6 +10,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from .bench import (
     convergence_slopes,
     emit_report,
     error_curve,
+    gen_tangent,
     gen_triple,
     max_errors,
     timing_run,
@@ -53,6 +55,15 @@ def _config(args) -> ExperimentConfig:
     )
 
 
+def _check_out(out: Path) -> None:
+    """Raise OSError, before any experiment runs, unless out can be a writable directory."""
+    existing = next(d for d in (out, *out.parents) if d.exists())
+    if not existing.is_dir() or not os.access(existing, os.W_OK | os.X_OK):
+        raise OSError(
+            f"cannot create output directory {out}: {existing} is not a writable directory"
+        )
+
+
 def _run_curve(cfg: ExperimentConfig):
     records = error_curve(gen_triple(cfg), cfg.kinds, cfg.steps)
     maxima = max_errors(records)
@@ -65,7 +76,7 @@ def _run_curve(cfg: ExperimentConfig):
 
 
 def _run_order(cfg: ExperimentConfig):
-    _, xi, _ = gen_triple(cfg)
+    xi = gen_tangent(cfg)
     slopes = {(kind, BETA_EUCLIDEAN): slope
               for kind, slope in convergence_slopes(xi, cfg.kinds, BETA_EUCLIDEAN).items()}
     if "pl" in cfg.kinds:
@@ -85,6 +96,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = _config(args)
+        _check_out(args.out)
         records = timings = slopes = None
         ok = True
         if args.command in ("curve", "all"):
@@ -94,7 +106,7 @@ def main(argv=None) -> int:
         if args.command in ("timing", "all"):
             timings = [timing_run(cfg, kind) for kind in cfg.kinds]
         summary = emit_report(args.out, cfg, records, timings, slopes)
-    except (DomainError, ValidationError) as exc:
+    except (DomainError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(summary, end="")

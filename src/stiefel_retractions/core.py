@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .matfun import ValidationError, _check_entries, _check_finite, tol_struct
+from .matfun import ValidationError, _check_entries, tol_struct
 
 # Metric family parameter values for the two standard metrics.
 BETA_CANONICAL = 0.5
@@ -45,7 +45,8 @@ class TangentVector:
 
     Construction checks that Xi has the base's shape and, by
     matfun._check_entries, that it is real, finite and of norm at most
-    matfun._MAX_NORM; the maps that form U.T Xi check that it is skew.
+    matfun._MAX_NORM, and keeps it as a float array; the maps that form
+    U.T Xi check that it is skew.
     """
 
     base: StiefelPoint
@@ -56,7 +57,7 @@ class TangentVector:
             raise ValidationError(
                 f"tangent shape {np.shape(self.Xi)} does not match base shape {self.base.U.shape}"
             )
-        _check_entries(self.Xi, "tangent")
+        object.__setattr__(self, "Xi", _check_entries(self.Xi, "tangent"))
 
     @property
     def norm(self) -> float:
@@ -118,17 +119,17 @@ def _skew_block(xi: TangentVector) -> np.ndarray:
 
 def check_tangent(base: StiefelPoint, Xi: np.ndarray) -> TangentVector:
     """Validate that base.T @ Xi is skew and wrap as a TangentVector."""
-    xi = TangentVector(base, np.asarray(Xi, dtype=float))
+    xi = TangentVector(base, Xi)
     _skew_block(xi)
     return xi
 
 
 def project_tangent(base: StiefelPoint, Z: np.ndarray) -> TangentVector:
     """Orthogonal projection Z -> Z - U sym(U.T Z) onto the tangent space."""
-    Z = np.asarray(Z, dtype=float)
-    if Z.shape != base.U.shape:
-        raise ValidationError(f"Z shape {Z.shape} does not match base shape {base.U.shape}")
-    M = base.U.T @ _check_finite(Z, "Z")
+    if np.shape(Z) != base.U.shape:
+        raise ValidationError(f"Z shape {np.shape(Z)} does not match base shape {base.U.shape}")
+    Z = _check_entries(Z, "Z")
+    M = base.U.T @ Z
     Xi = Z - base.U @ (0.5 * (M + M.T))
     return TangentVector(base, Xi)
 

@@ -5,11 +5,12 @@ routines reduce their work to these kernels plus tall-skinny matrix
 products. All functions are pure and validate their structural
 preconditions (skewness, orthogonality, positive definiteness) before
 computing; every argument must be real, finite and of norm at most
-_MAX_NORM. invsqrtm_spd, _polar_parts and logm_so sum a short power
-series (_sym_series) in place of their eigh when the argument is
-provably close to a multiple of I, and solve_pf_sylvester sums a Stein
-series by squared Smith doubling in place of its Newton iteration when C
-is provably close to I. Both routes take their proof from _norm_bound.
+_MAX_NORM. invsqrtm_spd and logm_so sum a short power series
+(_sym_series) in place of their eigh, and _polar_parts in place of its
+SVD, when the argument is provably close to a multiple of I;
+solve_pf_sylvester sums a Stein series by squared Smith doubling in
+place of its Newton iteration when C is provably close to I. Both routes
+take their proof from _norm_bound. _inv is the only direct LAPACK call.
 """
 
 from __future__ import annotations
@@ -44,12 +45,6 @@ def tol_struct(p: int) -> float:
     return 1e-8 * np.sqrt(p)
 
 
-def _check_finite(M: np.ndarray, name: str) -> np.ndarray:
-    if not np.all(np.isfinite(M)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    return M
-
-
 # Largest Frobenius norm of an argument. The maps form Gram matrices M.T M
 # with ||M||_F <= 2 ||Xi||_F + sqrt(p) and take Frobenius norms of those,
 # fourth powers of ||M||_F, which stay finite below this bound.
@@ -59,18 +54,22 @@ _MAX_NORM = np.finfo(float).max ** 0.25 / 4
 def _check_entries(M: np.ndarray, name: str) -> np.ndarray:
     """M as a float array, once it is real, finite and of norm at most _MAX_NORM (or empty).
 
-    ||M||_F is bounded by sqrt(size) max |M|, which squares no entry, so
-    the check itself cannot overflow. A NaN or inf entry fails the same
-    comparison, so the common case costs one max and one min.
+    Only bool, integer and float dtypes count as real; complex, string and
+    object arrays are refused before any cast. ||M||_F is bounded by
+    sqrt(size) max |M|, which squares no entry, so the check itself cannot
+    overflow. A NaN or inf entry fails the same comparison, so the common
+    case costs one max and one min.
     """
-    if np.iscomplexobj(M):
+    M = np.asarray(M)
+    if M.dtype.kind not in "biuf":
         raise ValidationError(f"{name} must be real, got dtype {M.dtype}")
-    M = np.asarray(M, dtype=float)
+    M = M.astype(float, copy=False)
     if not M.size:
         return M
     big = np.maximum(np.max(M), -np.min(M))
     if not big <= _MAX_NORM / np.sqrt(M.size):
-        _check_finite(M, name)
+        if not np.all(np.isfinite(M)):
+            raise ValidationError(f"{name} contains non-finite entries")
         raise ValidationError(
             f"{name} too large: largest entry {big:.3e}, so products with it would overflow"
         )
@@ -256,38 +255,19 @@ def invsqrtm_spd(S: np.ndarray) -> np.ndarray:
     return Y @ Y.T
 
 
-# _polar_parts takes the Gram route only up to this condition number of C.T C.
-# For ||C||_2 = 1 its error is about eps * cond(C.T C) = eps / sigma_min^2,
-# within the SVD's 10 eps / sigma_min exactly when cond(C.T C) <= 1e2.
-_GRAM_KAPPA = 1e2
-
-
 def _polar_parts(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Polar factors of a square C: (C H^-1, H^-1, sigma_min), with H = (C.T C)^(1/2).
 
     When S = C.T C is close to mu I, H^-1 comes from _invsqrt_series and
-    sigma_min is its lower bound sqrt(mu (1 - rho)). Any other
-    well-conditioned C takes the Gram route (Higham, 1986): H^-1 = Y Y.T
-    with Y = V diag(w)^(-1/4) from S = V diag(w) V.T, about half the
-    cost of an SVD. Its error grows as eps * cond(S), so a Cholesky factor
-    of S and its LAPACK 1-norm condition estimate (dpotrf, dpocon) gate the
-    eigh, and the exact cond(S) = w[-1] / w[0] checks it again, since the
-    estimate can fall short. Every other C takes the SVD C = M diag(s) R.T,
-    with H^-1 = R diag(1/s) R.T, which is huge or not finite when C is
+    sigma_min is its lower bound sqrt(mu (1 - rho)). Every other C takes
+    the SVD C = M diag(s) R.T, with H^-1 = R diag(1/s) R.T, whose error
+    stays first order in 1/sigma_min. H^-1 is huge or not finite when C is
     (nearly) singular, so a caller checks sigma_min before using it.
     """
     C = _check_square(C, "C")
-    S = C.T @ C
-    series = _invsqrt_series(S)
+    series = _invsqrt_series(C.T @ C)
     if series is not None:
         return C @ series[0], series[0], series[1]
-    chol, info = scipy.linalg.lapack.dpotrf(S)
-    if info == 0 and scipy.linalg.lapack.dpocon(chol, np.linalg.norm(S, 1))[0] * _GRAM_KAPPA >= 1:
-        w, V = np.linalg.eigh(S)
-        if w[-1] <= _GRAM_KAPPA * w[0]:
-            Y = V * w**-0.25
-            T = Y @ Y.T
-            return C @ T, T, float(np.sqrt(w[0]))
     M, s, Rt = np.linalg.svd(C)
     with np.errstate(all="ignore"):
         T = (Rt.T * (1.0 / s)) @ Rt

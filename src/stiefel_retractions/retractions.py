@@ -8,8 +8,7 @@ Three invertible pairs are provided:
   matrix exponential and has a closed-form inverse built from the polar
   decomposition of one p-by-p matrix and one principal log. Between
   nearby points both are short power series; otherwise the polar
-  decomposition is one eigh when that matrix is well conditioned and
-  one SVD when it is not.
+  decomposition is one SVD.
 * PL-Cayley: the PL pair with exp/log replaced by the Cayley transform
   and its inverse.
 
@@ -83,8 +82,8 @@ def _pl_inv(base: StiefelPoint, U1: StiefelPoint, untwist: _Twist) -> TangentVec
     """U0 (untwist(W) - W) + U1 H^-1, with W H the polar decomposition of U0.T U1.
 
     The polar (Procrustes) factor W must be in SO(p): untwist refuses
-    det -1. U0.T U1 must be finite and well away from singular; a
-    well-conditioned one takes matfun's Gram route, any other its SVD.
+    det -1. U0.T U1 must be finite and well away from singular; off
+    matfun's series route it takes one SVD.
     """
     W, H_inv, sigma_min = matfun._polar_parts(_cross(base, U1))
     if sigma_min <= SIGMA_MIN:
@@ -104,8 +103,8 @@ def pl_inv(base: StiefelPoint, U1: StiefelPoint) -> TangentVector:
     """Closed-form inverse of pl_ret: one p-by-p polar decomposition and one principal log.
 
     The polar decomposition of U0.T U1 comes from a power series when it
-    is close to a multiple of an orthogonal matrix, from one eigh of its
-    Gram matrix when it is well conditioned, and from its SVD otherwise.
+    is close to a multiple of an orthogonal matrix, and from its SVD
+    otherwise.
     """
     return _pl_inv(base, U1, logm_so)
 

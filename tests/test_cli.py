@@ -1,8 +1,9 @@
 import csv
 
+import numpy as np
 import pytest
 
-from stiefel_retractions import bench
+from stiefel_retractions import bench, cli
 from stiefel_retractions.cli import main
 
 SMALL_ARGS = ["--n", "40", "--p", "8", "--steps", "11", "--seed", "3"]
@@ -60,7 +61,8 @@ def test_invalid_dims_exit_nonzero(tmp_path):
     ("curve", ["--n", "30", "--p", "3", "--kinds", ","], "kinds must name at least one"),
     ("timing", ["--n", "30", "--p", "3", "--kinds", ""], "kinds must name at least one"),
     ("curve", ["--n", "1", "--p", "1"], "norm_target must be 0 on St(1, 1)"),
-], ids=["p0", "repeats0", "dist_nan", "kinds_comma", "kinds_empty", "n1_p1"])
+    ("curve", ["--n", "30", "--p", "3", "--seed", "-1"], "seed must be >= 0"),
+], ids=["p0", "repeats0", "dist_nan", "kinds_comma", "kinds_empty", "n1_p1", "seed_negative"])
 def test_invalid_sizes_exit_one(tmp_path, capsys, command, args, message):
     assert main([command, *args, "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
@@ -78,3 +80,25 @@ def test_order_factors_each_geodesic_once(tmp_path, monkeypatch):
     assert main(["order", *SMALL_ARGS, "--kinds", "pf,pl,pl_cayley",
                  "--out", str(tmp_path / "run")]) == 0
     assert calls == {"_deviations": 2, "_geodesic": 2}
+
+
+@pytest.mark.parametrize("out", ["file", "file/run"])
+def test_out_not_creatable_exits_one_before_any_experiment(tmp_path, capsys, monkeypatch, out):
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr(bench, "error_curve", lambda *args: pytest.fail("experiment ran"))
+    assert main(["curve", *SMALL_ARGS, "--out", str(tmp_path / out)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot create output directory")
+
+
+def test_order_computes_no_geodesic_endpoint(tmp_path, monkeypatch):
+    # order reads only xi, drawn as gen_triple draws it, never U1 = Exp(xi)
+    xi = bench.gen_triple(bench.ExperimentConfig(n=40, p=8, seed=3))[1]
+    geodesics, tangents = [], []
+    monkeypatch.setattr(bench, "exp_beta", lambda *args: geodesics.append(args))
+    monkeypatch.setattr(cli, "convergence_slopes",
+                        lambda x, kinds, beta: tangents.append(x) or dict.fromkeys(kinds, 1.0))
+    assert main(["order", *SMALL_ARGS, "--kinds", "pf,pl", "--out", str(tmp_path / "run")]) == 0
+    assert geodesics == []
+    assert len(tangents) == 2
+    for x in tangents:
+        assert np.array_equal(x.base.U, xi.base.U) and np.array_equal(x.Xi, xi.Xi)

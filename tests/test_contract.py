@@ -11,6 +11,7 @@ import pytest
 from stiefel_retractions.core import (
     TangentVector,
     check_point,
+    check_tangent,
     exp_beta,
     project_tangent,
     rand_point,
@@ -108,8 +109,9 @@ def test_kernel_refuses_overflowing_matrix(kernel, M):
 
 @pytest.mark.parametrize(
     "Z",
-    [np.zeros(shape) for shape in OTHER_SHAPES] + [np.full((10, 3), v) for v in (np.nan, np.inf)],
-    ids=[shape_id(shape) for shape in OTHER_SHAPES] + ["nan", "inf"],
+    [np.zeros(shape) for shape in OTHER_SHAPES]
+    + [np.full((10, 3), v) for v in (np.nan, np.inf, 1e308, 1 + 1e-3j)],
+    ids=[shape_id(shape) for shape in OTHER_SHAPES] + ["nan", "inf", "1e308", "complex"],
 )
 def test_project_tangent_refuses_bad_ambient_matrix(Z):
     with pytest.raises(TYPED, match="^Z "):
@@ -128,6 +130,28 @@ def test_tangent_refused_when_built(make):
     # no map, and no inner product, ever sees a non-finite or overflowing tangent
     with pytest.raises(ValidationError, match="^tangent (contains non-finite|too large)"):
         make(rand_point(10, 3, 0))
+
+
+def test_check_tangent_refuses_complex():
+    # refused, not truncated to its real part
+    U0 = rand_point(10, 3, 0)
+    with pytest.raises(ValidationError, match="^tangent must be real"):
+        check_tangent(U0, rand_tangent(U0, 1.0, 1).Xi * (1 + 1e-3j))
+
+
+def test_kernel_refuses_string_matrix():
+    with pytest.raises(ValidationError, match="^A must be real, got dtype <U1"):
+        cay(np.array([["a", "b"], ["c", "d"]]))
+
+
+def test_check_point_refuses_string_matrix():
+    with pytest.raises(ValidationError, match="^point must be real"):
+        check_point(np.array([["a"], ["b"]]))
+
+
+def test_param_at_E_refuses_string_block():
+    with pytest.raises(ValidationError, match="^A must be real"):
+        param_at_E(ChartCoordinates(np.array([["a"]]), np.zeros((1, 1))))
 
 
 def skew_2x2(a):

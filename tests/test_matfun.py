@@ -323,9 +323,11 @@ class TestSeriesRoute:
         r = series_limit(matfun._INVSQRT_COEFFS) * (1.0 + side * 1e-3)
         S, T_ref = near_identity_spd(p, r, rng)
         W0 = np.linalg.qr(rng.standard_normal((p, p)))[0]
-        calls = linalg_calls(monkeypatch, "eigh")
+        eighs = linalg_calls(monkeypatch, "eigh")
+        svds = svd_calls(monkeypatch)
         W, H_inv, sigma_min = matfun._polar_parts(W0 @ np.linalg.inv(T_ref))
-        assert calls == ([(p, p)] if side > 0 else [])
+        assert eighs == []
+        assert svds == ([(p, p)] if side > 0 else [])
         assert np.linalg.norm(W - W0) <= 1e-14 * np.linalg.norm(W0)
         assert np.linalg.norm(H_inv - T_ref) <= 1e-14 * np.linalg.norm(T_ref)
         assert sigma_min == pytest.approx(np.sqrt(2.5 * (1.0 - r)), rel=1e-13)
@@ -348,16 +350,18 @@ class TestPolarParts:
     @pytest.mark.parametrize("p", [10, 100])
     @pytest.mark.parametrize("side", [-1, 1])
     def test_route_limit(self, p, side, monkeypatch):
-        # cond(C.T C) just below (Gram route) or above (SVD) _GRAM_KAPPA;
-        # C = Q diag(s) makes C.T C diagonal, so its 1-norm condition
-        # estimate is exact and equals the 2-norm one
+        # cond(C.T C) just below or above 1e2, up to which an eigh of C.T C
+        # would match the SVD's accuracy: far off the series, C takes one
+        # SVD and no eigh either way
         rng = np.random.default_rng(p + 4)
-        kappa = matfun._GRAM_KAPPA * (1.0 + side * 1e-3)
+        kappa = 1e2 * (1.0 + side * 1e-3)
         s = np.sqrt(np.linspace(1.0, 1.0 / kappa, p))
         Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
-        calls = svd_calls(monkeypatch)
+        eighs = linalg_calls(monkeypatch, "eigh")
+        svds = svd_calls(monkeypatch)
         W, H_inv, sigma_min = matfun._polar_parts(Q * s)
-        assert calls == ([(p, p)] if side > 0 else [])
+        assert eighs == []
+        assert svds == [(p, p)]
         assert np.linalg.norm(W - Q) <= 1e-13 * np.sqrt(p)
         assert np.linalg.norm(H_inv - np.diag(1.0 / s)) <= 1e-13 * np.sqrt(p) / s[-1]
         assert sigma_min == pytest.approx(s[-1], rel=1e-13)
@@ -367,8 +371,8 @@ class TestPolarParts:
         ids=["zero", "tiny", "rank_one"],
     )
     def test_singular_takes_svd(self, C, monkeypatch):
-        # the Cholesky of C.T C fails; the SVD reports sigma_min at roundoff
-        # or below, and an infinite H^-1 raises no RuntimeWarning
+        # the SVD reports sigma_min at roundoff or below, and an infinite
+        # H^-1 raises no RuntimeWarning
         calls = svd_calls(monkeypatch)
         sigma_min = matfun._polar_parts(C)[2]
         assert calls == [C.shape]
