@@ -282,9 +282,10 @@ _SIGN_MAX_ROUNDING = 1e-2  # largest eps ||C||_F ||X||_F that leaves X certainly
 _NOT_STABLE = "C is not positive stable, so C X + X C.T = 2 I has no positive definite solution"
 
 # _smith_doubling takes a C whose Cayley transform has its bound rho below this
-# cap: at most 4 doublings (11 products). At p = 400 and rho = 0.29 that takes
-# about 0.6 of the Newton iteration's time (56 against 96 ms, min of 7 calls,
-# 1 OpenBLAS thread on a 2-core Xeon VM).
+# cap: at most 4 doublings (11 products), at p = 400 and rho = 0.29 about 0.6 of
+# the Newton iteration's time (56 against 96 ms, 1 OpenBLAS thread, 2-core Xeon
+# VM). It also keeps the route accurate: the error grows as eps / (1 - rho), to
+# 9e-5 relative on C = diag(1 ... 0.5, 1e-12), where Newton's stays below 1e-15.
 _SMITH_CAP = 0.3
 _SMITH_POWER_STEPS = 4
 
@@ -293,7 +294,7 @@ class _Undecided(DomainError):
     """solve_pf_sylvester could not decide whether C is positive stable."""
 
 
-def _smith_doubling(C: np.ndarray, C_norm: float) -> np.ndarray | None:
+def _smith_doubling(C: np.ndarray) -> np.ndarray | None:
     """The SPD X with C X + X C.T = 2 I by squared Smith doubling, or None.
 
     With G = (I + C)^-1 and the Cayley transform A = G (I - C) = 2 G - I,
@@ -302,15 +303,14 @@ def _smith_doubling(C: np.ndarray, C_norm: float) -> np.ndarray | None:
     doublings X <- X + A X A.T, A <- A^2 sum its first 2^k terms and leave
     a tail of at most ||X|| rho^(2^(k+1)) / (1 - rho^2), below 2^-54 for
     the least such k. rho >= ||A||_2 comes from _norm_bound, and rho < 1
-    proves C positive stable and X SPD (X >= 4 G G.T > 0), so an X from
-    here is one Newton would accept.
+    proves C positive stable and X SPD (X >= 4 G G.T > 0). Below the cap
+    ||X||_2 and ||C||_2 are at most (1 + rho) / (1 - rho) < 1.86, so X
+    passes solve_pf_sylvester's rounding check by far.
 
-    None, before any LU and with O(p^2) work, once a lower bound on
-    ||I - C||_2 = ||2 A (I + A)^-1||_2 <= 2 rho / (1 - rho) exceeds that
-    bound at rho = _SMITH_CAP: the largest column norm of I - C, sharpened
-    by power steps on (I - C).T (I - C). None too when rho >= _SMITH_CAP,
-    I + C is exactly singular, or X fails solve_pf_sylvester's rounding
-    check.
+    None when rho >= _SMITH_CAP or I + C is exactly singular, and before any
+    LU, with O(p^2) work, once a lower bound on ||I - C||_2 = ||2 A (I +
+    A)^-1||_2 <= 2 rho / (1 - rho) exceeds that bound at the cap: the largest
+    column norm of I - C, sharpened by power steps on (I - C).T (I - C).
     """
     p = C.shape[0]
     D = -C
@@ -322,7 +322,7 @@ def _smith_doubling(C: np.ndarray, C_norm: float) -> np.ndarray | None:
     if np.linalg.norm(y) > 2.0 * _SMITH_CAP / (1.0 - _SMITH_CAP):
         return None
     try:
-        G = _inv(np.eye(p) + C, "I + C is singular")[0]
+        G = _inv(np.eye(p) + C, "I + C is singular")
     except DomainError:
         return None
     A = 2.0 * G
@@ -338,9 +338,7 @@ def _smith_doubling(C: np.ndarray, C_norm: float) -> np.ndarray | None:
         X += A @ X @ A.T
         if i < k - 1:
             A = A @ A
-    X = 0.5 * (X + X.T)
-    rounding = np.finfo(float).eps * C_norm * np.linalg.norm(X)
-    return X if rounding <= _SIGN_MAX_ROUNDING else None
+    return 0.5 * (X + X.T)
 
 
 def solve_pf_sylvester(C: np.ndarray) -> np.ndarray:
@@ -348,35 +346,36 @@ def solve_pf_sylvester(C: np.ndarray) -> np.ndarray:
 
     Such an X exists exactly when C is positive stable: every eigenvalue has
     a positive real part (Lyapunov). A C close to I takes _smith_doubling,
-    which proves that. Any other C, and any C that route turns down, takes
-    the determinant-scaled Newton iteration for sign(C) (Roberts, 1980;
-    Byers, 1987), which decides it and finds X: with
-    c = |det C_k|^(-1/p) from the LU in _inv, the steps C_{k+1} = (c C_k +
-    C_k^-1 / c) / 2 and Y_{k+1} = (c Y_k + C_k^-1 Y_k C_k^-T / c) / 2 from
-    C_0 = C, Y_0 = 2 I keep C_k X + X C_k.T = Y_k, so X = Y_k / 2 once C_k
-    reaches sign(C) = I. Each Y_k is SPD, but the computed X has errors of
-    order eps ||X|| against eigenvalues of at least 1/||C||_2.
+    which proves that. Any other C takes the Newton iteration for sign(C)
+    (Roberts, 1980; Byers, 1987), which decides it and finds X: from C_0 =
+    C, Y_0 = 2 I the steps C_{k+1} = (c C_k + C_k^-1 / c) / 2 and Y_{k+1} =
+    (c Y_k + C_k^-1 Y_k C_k^-T / c) / 2 keep C_k X + X C_k.T = Y_k, so X =
+    Y_k / 2 once C_k reaches sign(C) = I. The scale c = (||C_k^-1||_1 /
+    ||C_k||_1)^(1/2) takes the 1-norms of the stopping test (Kenney & Laub,
+    1992; Higham, 2008, sec. 5.5). Each Y_k is SPD, but the computed X has
+    errors of order eps ||X|| against eigenvalues of at least 1/||C||_2.
 
     Raises DomainError when an LU is exactly singular or trace(sign(C)) =
     p - 2 #{Re(eigenvalue) < 0} is below p - 1; its subclass _Undecided when
-    the iteration does not converge or X is not finite or too
-    ill-conditioned to be certified positive definite. Only the Newton
-    iteration raises.
+    the iteration does not converge or X is not finite or too ill-conditioned
+    to be certified positive definite. Only the Newton iteration raises.
     """
     C = _check_square(C, "C")
-    p, C_norm = C.shape[0], np.linalg.norm(C)
+    p = C.shape[0]
     with np.errstate(all="ignore"):  # overflow is caught as a non-finite X
-        X = _smith_doubling(C, C_norm)
+        X = _smith_doubling(C)
         if X is not None:
             return X
-        Y = 2.0 * np.eye(p)
+        Y, C_norm, C_1norm = 2.0 * np.eye(p), np.linalg.norm(C), np.linalg.norm(C, 1)
         for _ in range(_SIGN_MAX_STEPS):
-            C_inv, u_diag = _inv(C, f"solve_pf_sylvester: {_NOT_STABLE}")
-            c = np.exp(-np.mean(np.log(np.abs(u_diag))))
+            C_inv = _inv(C, f"solve_pf_sylvester: {_NOT_STABLE}")
+            C_inv_1norm = np.linalg.norm(C_inv, 1)
+            c = np.sqrt(C_inv_1norm / C_1norm)
             C_prev, C = C, 0.5 * (c * C + C_inv / c)
             Y = 0.5 * (c * Y + (C_inv @ Y @ C_inv.T) / c)
-            err = np.linalg.norm(C - C_prev, 1) ** 2 * np.linalg.norm(C_inv, 1)
-            if not np.isfinite(err) or err <= _SIGN_TOL * np.linalg.norm(C, 1):
+            C_1norm = np.linalg.norm(C, 1)
+            err = np.linalg.norm(C - C_prev, 1) ** 2 * C_inv_1norm
+            if not np.isfinite(err) or err <= _SIGN_TOL * C_1norm:
                 break
         else:
             raise _Undecided(
@@ -393,26 +392,26 @@ def solve_pf_sylvester(C: np.ndarray) -> np.ndarray:
     return X
 
 
-def _inv(M: np.ndarray, singular_message: str) -> tuple[np.ndarray, np.ndarray]:
-    """M^-1 and the diagonal of M's upper LU factor, from one LAPACK dgetrf and dgetri.
+def _inv(M: np.ndarray, singular_message: str) -> np.ndarray:
+    """M^-1 from one LAPACK dgetrf and dgetri; DomainError(singular_message) if exactly singular.
 
-    Raises DomainError(singular_message) when the LU is exactly singular.
-    With OpenBLAS the blocked dgetri is quicker than a getrs solve with
-    p right-hand sides: at p = 400 (1 thread) cay takes 9-12 ms this way
-    and 15-16 ms by np.linalg.solve.
+    Not scipy.linalg.inv: scipy 1.17 warns LinAlgWarning on an ill-conditioned
+    M ("rcond = 1e+17" on diag(1, 1e-17)), a RuntimeWarning and so an error
+    under the tests' filter. Not np.linalg.solve with p right-hand sides: at
+    p = 400 (OpenBLAS, 1 thread) cay takes 15-16 ms that way and 9-12 ms here.
     """
     lu, piv, info = scipy.linalg.lapack.dgetrf(M)
     if info > 0:
         raise DomainError(singular_message)
     lwork = int(scipy.linalg.lapack.dgetri_lwork(M.shape[0])[0])
-    return scipy.linalg.lapack.dgetri(lu, piv, lwork=lwork)[0], np.diagonal(lu)
+    return scipy.linalg.lapack.dgetri(lu, piv, lwork=lwork)[0]
 
 
 def cay(A: np.ndarray) -> np.ndarray:
     """Cayley transform (I - A/2)^{-1} (I + A/2) = 2 (I - A/2)^{-1} - I; orthogonal for skew A."""
     A = _check_square(A, "A")
     eye = np.eye(A.shape[0])
-    return 2.0 * _inv(eye - 0.5 * A, "cay: I - A/2 is singular")[0] - eye
+    return 2.0 * _inv(eye - 0.5 * A, "cay: I - A/2 is singular") - eye
 
 
 def cay_inv(Q: np.ndarray) -> np.ndarray:
@@ -426,5 +425,5 @@ def cay_inv(Q: np.ndarray) -> np.ndarray:
     eye = np.eye(Q.shape[0])
     if np.linalg.slogdet(Q)[0] < 0:
         raise DomainError("cay_inv: Q has negative determinant, so I + Q is singular")
-    A = 2.0 * eye - 4.0 * _inv(eye + Q, "cay_inv: I + Q is singular")[0]
+    A = 2.0 * eye - 4.0 * _inv(eye + Q, "cay_inv: I + Q is singular")
     return 0.5 * (A - A.T)

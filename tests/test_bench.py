@@ -230,6 +230,11 @@ class TestReports:
         assert set(rows[0]) == {"n", "p", "seed", "kind", "mean_seconds", "roundtrip_norm"}
         assert len(rows) == 1
 
+    def test_outdir_under_a_file(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        with pytest.raises(OSError, match="cannot create output directory"):
+            emit_report(tmp_path / "file" / "run", ExperimentConfig(**SMALL))
+
     def test_curve_csv_deterministic(self, tmp_path):
         cfg = ExperimentConfig(**SMALL)
         for sub in ("a", "b"):

@@ -44,6 +44,16 @@ def test_all_command(tmp_path):
         assert (out / name).exists()
 
 
+def test_invariant_failure_exits_two_and_still_writes(tmp_path, capsys, monkeypatch):
+    # the curve step compares the maxima it gets; the CSVs keep the real ones
+    monkeypatch.setattr(cli, "max_errors", lambda records: {"pf": 0.0, "pl": 1.0})
+    out = tmp_path / "run"
+    assert main(["curve", *SMALL_ARGS, "--out", str(out)]) == 2
+    assert "INVARIANT FAILED" in capsys.readouterr().err
+    assert (out / "curve.csv").exists()
+    assert (out / "maxerr.csv").exists()
+
+
 def test_invalid_kind_exits_nonzero(tmp_path, capsys):
     rc = main(["curve", *SMALL_ARGS, "--kinds", "qr", "--out", str(tmp_path / "x")])
     assert rc == 1

@@ -71,6 +71,11 @@ class TestCheckPoint:
         with pytest.raises(ValidationError):
             check_point(U)
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 4, 2)])
+    def test_rejects_non_matrix(self, shape):
+        with pytest.raises(ValidationError, match="expected a matrix"):
+            check_point(np.zeros(shape))
+
 
 class TestCheckTangent:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -498,7 +498,7 @@ class TestSolvePfSylvester:
     @pytest.mark.parametrize("p", [5, 9, 17, 30])
     def test_recursion_against_kronecker_oracle(self, p, k):
         # X(s C) = X(C) / s; at s = 1e16 the Newton recursion needs its
-        # determinant scaling to converge within _SIGN_MAX_STEPS
+        # scaling to converge within _SIGN_MAX_STEPS
         s = 10.0 ** (16 * (k - 3))
         C = complex_pair_matrix(p, np.random.default_rng(100 + p))
         X, X_ref = s * solve_pf_sylvester(s * C), sylvester_kron_oracle(C)
@@ -561,7 +561,7 @@ def cayley_inverse(A):
 def newton_only(monkeypatch, C):
     """solve_pf_sylvester(C) with the squared Smith route turned off."""
     with monkeypatch.context() as m:
-        m.setattr(matfun, "_smith_doubling", lambda C, C_norm: None)
+        m.setattr(matfun, "_smith_doubling", lambda C: None)
         return solve_pf_sylvester(C)
 
 
@@ -571,6 +571,23 @@ def outcome(solve, C):
         return solve(C)
     except DomainError as exc:
         return type(exc), str(exc)
+
+
+def edge_overlap(delta, sigma_min):
+    """C = exp(A) V diag(c) V.T, shaped as geodesic_edge's pairs at p = 100:
+    a rotation angle pi - delta, or sigma_min(C) = c_0 small.
+    """
+    p, rng = 100, np.random.default_rng(100)
+    if delta is not None:
+        angles = rng.uniform(0.0, np.pi / 2, p // 2)
+        angles[0] = np.pi - delta
+        b = rng.uniform(0.0, 0.1, p)
+    else:
+        angles = rng.uniform(0.0, 1.0, p // 2)
+        b = rng.uniform(0.0, 1.0, p)
+        b[0] = np.sqrt(1.0 / sigma_min**2 - 1.0)
+    V = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    return expm_skew(skew_with_angles(angles, p, rng)) @ (V / np.sqrt(1.0 + b**2)) @ V.T
 
 
 # Inputs on both sides of the Smith route and of the PF domain: near I,
@@ -618,7 +635,7 @@ class TestSmithRoute:
     def test_refuses_nothing_newton_accepts(self, case, monkeypatch):
         # the route returns an X only where Newton returns the same X; it never raises
         C = ROUTE_CASES[case](np.random.default_rng(len(case)))
-        X_smith = matfun._smith_doubling(C, np.linalg.norm(C))
+        X_smith = matfun._smith_doubling(C)
         X_newton = outcome(lambda C: newton_only(monkeypatch, C), C)
         if X_smith is not None:
             assert isinstance(X_newton, np.ndarray)
@@ -644,22 +661,31 @@ class TestSmithRoute:
         + [(None, s) for s in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)],
     )
     def test_edge_pairs_rejected_before_inv(self, delta, sigma_min, monkeypatch):
-        # C = exp(A) V diag(c) V.T, shaped as geodesic_edge's pairs at p = 100:
-        # a rotation angle near pi, or sigma_min(C) = c_0 small
-        p, rng = 100, np.random.default_rng(100)
-        if delta is not None:
-            angles = rng.uniform(0.0, np.pi / 2, p // 2)
-            angles[0] = np.pi - delta
-            b = rng.uniform(0.0, 0.1, p)
-        else:
-            angles = rng.uniform(0.0, 1.0, p // 2)
-            b = rng.uniform(0.0, 1.0, p)
-            b[0] = np.sqrt(1.0 / sigma_min**2 - 1.0)
-        V = np.linalg.qr(rng.standard_normal((p, p)))[0]
-        C = expm_skew(skew_with_angles(angles, p, rng)) @ (V / np.sqrt(1.0 + b**2)) @ V.T
+        C = edge_overlap(delta, sigma_min)
         calls = inv_calls(monkeypatch)
-        assert matfun._smith_doubling(C, np.linalg.norm(C)) is None
+        assert matfun._smith_doubling(C) is None
         assert calls == []
+
+    @pytest.mark.parametrize("sigma_min", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    def test_edge_sigma_min_pairs_take_few_newton_steps(self, sigma_min, monkeypatch):
+        # the norm-scaled iteration takes 7 steps on each, however small
+        # sigma_min, and leaves a residual near eps ||C|| ||X||
+        C = edge_overlap(None, sigma_min)
+        calls = inv_calls(monkeypatch)
+        X = solve_pf_sylvester(C)
+        assert len(calls) <= 8
+        res = np.linalg.norm(C @ X + X @ C.T - 2.0 * np.eye(100))
+        assert res <= 1e-15 * np.linalg.norm(C) * np.linalg.norm(X)
+
+    @pytest.mark.parametrize("c_min", [1e-4, 1e-6, 1e-8, 1e-12])
+    def test_cap_keeps_far_c_on_newton(self, c_min):
+        # X = C^-1 for a diagonal C. Its Cayley transform has norm
+        # (1 - c_min) / (1 + c_min), far above the cap, where the Smith sum
+        # loses accuracy as eps / c_min: 2.7e-13 at c_min = 1e-4 with the cap
+        # raised to 0.9999, 8.9e-5 at 1e-12 with no cap
+        d = np.r_[np.linspace(1.0, 0.5, 9), c_min]
+        X = solve_pf_sylvester(np.diag(d))
+        assert np.linalg.norm(X - np.diag(1.0 / d)) <= 1e-14 * np.linalg.norm(1.0 / d)
 
     def test_pullback_pair_matches_newton(self, monkeypatch):
         # n = 1000, p = 400, U1 = pl_ret of a tangent of norm pi/2: three doublings
