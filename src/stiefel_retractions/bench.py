@@ -182,38 +182,13 @@ def timing_run(cfg: ExperimentConfig, kind: str) -> TimingRecord:
     return TimingRecord(kind, float(np.mean(times)), float(np.mean(roundtrips)))
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_table(path: Path, cfg: ExperimentConfig, columns: list[str], rows) -> None:
+    """CSV of n,p,seed,kind + columns; each row is (kind, *values), values written as .17g."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def write_curve_csv(path: Path, cfg: ExperimentConfig, records: list[ErrorCurveRecord]):
-    rows = ([cfg.n, cfg.p, cfg.seed, kind, _fmt(rec.t), _fmt(err)]
-            for rec in records for kind, err in rec.errors.items())
-    _write_csv(path, ["n", "p", "seed", "kind", "t", "error"], rows)
-
-
-def write_maxerr_csv(path: Path, cfg: ExperimentConfig, maxima: dict[str, float]):
-    rows = ([cfg.n, cfg.p, cfg.seed, kind, _fmt(err)] for kind, err in maxima.items())
-    _write_csv(path, ["n", "p", "seed", "kind", "max_error"], rows)
-
-
-def write_timing_csv(path: Path, cfg: ExperimentConfig, timings: list[TimingRecord]):
-    rows = ([cfg.n, cfg.p, cfg.seed, rec.kind, _fmt(rec.mean_seconds),
-             _fmt(rec.roundtrip_norm_mean)] for rec in timings)
-    _write_csv(path, ["n", "p", "seed", "kind", "mean_seconds", "roundtrip_norm"], rows)
-
-
-def write_order_csv(path: Path, cfg: ExperimentConfig, slopes: dict[tuple[str, float], float]):
-    rows = ([cfg.n, cfg.p, cfg.seed, kind, _fmt(beta), _fmt(slope)]
-            for (kind, beta), slope in slopes.items())
-    _write_csv(path, ["n", "p", "seed", "kind", "beta", "slope"], rows)
+        w.writerow(["n", "p", "seed", "kind", *columns])
+        w.writerows([cfg.n, cfg.p, cfg.seed, kind, *(format(v, ".17g") for v in values)]
+                    for kind, *values in rows)
 
 
 def emit_report(
@@ -232,21 +207,24 @@ def emit_report(
 
     lines = [f"experiment: n={cfg.n} p={cfg.p} dist={cfg.distance:.6g} seed={cfg.seed}"]
     if curve_records is not None:
-        write_curve_csv(outdir / "curve.csv", cfg, curve_records)
+        _write_table(outdir / "curve.csv", cfg, ["t", "error"],
+                     ((kind, rec.t, err) for rec in curve_records for kind, err in rec.errors.items()))
         maxima = max_errors(curve_records)
-        write_maxerr_csv(outdir / "maxerr.csv", cfg, maxima)
+        _write_table(outdir / "maxerr.csv", cfg, ["max_error"], maxima.items())
         lines.append("")
         lines.append("max geodesic deviation over the curve:")
         for kind, err in maxima.items():
             lines.append(f"  {kind:10s} {err:.4e}")
     if slopes is not None:
-        write_order_csv(outdir / "order.csv", cfg, slopes)
+        _write_table(outdir / "order.csv", cfg, ["beta", "slope"],
+                     ((kind, beta, slope) for (kind, beta), slope in slopes.items()))
         lines.append("")
         lines.append("convergence-order slopes vs Exp:")
         for (kind, beta), slope in slopes.items():
             lines.append(f"  {kind:10s} beta={beta:<4g} slope={slope:.3f}")
     if timings is not None:
-        write_timing_csv(outdir / "timing.csv", cfg, timings)
+        _write_table(outdir / "timing.csv", cfg, ["mean_seconds", "roundtrip_norm"],
+                     ((r.kind, r.mean_seconds, r.roundtrip_norm_mean) for r in timings))
         lines.append("")
         lines.append(f"inverse-retraction timing (mean over {cfg.repeats} runs,")
         lines.append("pairs generated at the configured distance):")

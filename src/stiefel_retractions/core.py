@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .matfun import ValidationError, _check_entries, tol_struct
+from .matfun import DomainError, ValidationError, _check_entries, tol_struct
 
 # Metric family parameter values for the two standard metrics.
 BETA_CANONICAL = 0.5
@@ -108,11 +108,12 @@ def _skew_block(xi: TangentVector) -> np.ndarray:
     """The exactly skew block A = U.T Xi of a tangent xi.
 
     Raises ValidationError when U.T Xi has a symmetric part above roundoff,
-    i.e. when Xi is not tangent at its base.
+    i.e. when Xi is not tangent at its base. Roundoff in U.T Xi, and in
+    any projection that made Xi, scales with ||Xi||_F, so the bound does too.
     """
     A = xi.base.U.T @ xi.Xi
     defect = np.linalg.norm(A + A.T)
-    if defect > tol_struct(xi.base.p):
+    if defect > tol_struct(xi.base.p) * max(1.0, xi.norm):
         raise ValidationError(f"U.T Xi not skew-symmetric (defect {defect:.3e})")
     return 0.5 * (A - A.T)
 
@@ -188,11 +189,21 @@ def exp_beta(xi: TangentVector, beta: float = BETA_EUCLIDEAN) -> StiefelPoint:
     """Riemannian exponential for the one-parameter metric family.
 
     The geodesic of _geodesic at t = 1: O(n p^2) work, one real eigh of a
-    2p-by-2p and one of a p-by-p symmetric matrix. Defined on the whole
-    tangent space; raises ValidationError when Xi is not tangent or beta
-    is not positive and finite.
+    2p-by-2p and one of a p-by-p symmetric matrix. Raises ValidationError
+    when Xi is not tangent or beta is not positive and finite, and
+    DomainError when the result misses orthonormality by more than
+    tol_struct(p): the eigh of S.T S in _skew_flow errs by eps ||S||^2, an
+    angle error of up to sqrt(eps) ||S||, which can pass that bound from
+    about ||Xi||_F = 1e5 on.
     """
-    return StiefelPoint(_geodesic(xi, beta)(1.0))
+    Y = _geodesic(xi, beta)(1.0)
+    defect = np.linalg.norm(Y.T @ Y - np.eye(xi.base.p))
+    if defect > tol_struct(xi.base.p):
+        raise DomainError(
+            f"exp_beta: tangent norm {xi.norm:.3e} too large to exponentiate accurately "
+            f"(||Y.T Y - I||_F = {defect:.3e})"
+        )
+    return StiefelPoint(Y)
 
 
 def _skew_flow(S: np.ndarray, k: int) -> Callable[[float], np.ndarray]:

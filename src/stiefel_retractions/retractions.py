@@ -30,7 +30,10 @@ from .core import StiefelPoint, TangentVector, _skew_block, canonical_point
 from .matfun import DomainError, ValidationError, cay, cay_inv, expm_skew, invsqrtm_spd, logm_so
 
 # Floor on the singular values of U0.T @ U1 below which the PL chart
-# (and its inverse) is treated as degenerate.
+# (and its inverse) is treated as degenerate. It is absolute because both
+# frames are orthonormal, so U0.T U1 carries an absolute rounding error of
+# about eps: for U1 orthogonal to U0 it is all rounding noise, with a
+# condition number of order 10 that a floor on the condition number would accept.
 SIGMA_MIN = 1e-8
 
 # A p-by-p twist map of the PL pair: expm_skew/logm_so or cay/cay_inv.
@@ -87,9 +90,7 @@ def _pl_inv(base: StiefelPoint, U1: StiefelPoint, untwist: _Twist) -> TangentVec
     """
     W, H_inv, sigma_min = matfun._polar_parts(_cross(base, U1))
     if sigma_min <= SIGMA_MIN:
-        raise DomainError(
-            "pl_inv: U0.T U1 nearly singular, outside chart neighborhood"
-        )
+        raise DomainError("U0.T U1 nearly singular, outside chart neighborhood")
     Xi = base.U @ (untwist(W) - W) + U1.U @ H_inv
     return TangentVector(base, Xi)
 

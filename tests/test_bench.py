@@ -12,7 +12,6 @@ from stiefel_retractions.bench import (
     gen_triple,
     max_errors,
     timing_run,
-    write_curve_csv,
 )
 from stiefel_retractions.core import (
     BETA_CANONICAL,
@@ -204,10 +203,9 @@ class TestTiming:
 
 class TestReports:
     def test_empty_records_header_only(self, tmp_path):
-        cfg = ExperimentConfig(**SMALL)
-        path = tmp_path / "curve.csv"
-        write_curve_csv(path, cfg, [])
-        assert path.read_text().strip() == "n,p,seed,kind,t,error"
+        emit_report(tmp_path, ExperimentConfig(**SMALL), curve_records=[])
+        assert (tmp_path / "curve.csv").read_text().strip() == "n,p,seed,kind,t,error"
+        assert (tmp_path / "maxerr.csv").read_text().strip() == "n,p,seed,kind,max_error"
 
     def test_curve_csv_schema(self, tmp_path):
         cfg = ExperimentConfig(**SMALL, kinds=("pf", "pl"))

@@ -2,7 +2,9 @@
 
 Every case must raise ValidationError or DomainError: no raw numpy or
 LAPACK exception, no silently broadcast result and no RuntimeWarning.
-The base point of every case lies on St(10, 3).
+The base point of every case lies on St(10, 3). The last sweep feeds
+genuine tangents of large norm instead: each map must return an
+orthonormal point or raise DomainError.
 """
 
 import numpy as np
@@ -27,6 +29,7 @@ from stiefel_retractions.matfun import (
     invsqrtm_spd,
     logm_so,
     solve_pf_sylvester,
+    tol_struct,
 )
 from stiefel_retractions.retractions import (
     ChartCoordinates,
@@ -184,3 +187,23 @@ def test_check_point_refuses_complex():
 def test_param_at_E_refuses_complex_B():
     with pytest.raises(ValidationError, match="^B must be real"):
         param_at_E(ChartCoordinates(np.zeros((2, 2)), np.zeros((3, 2)) * (1 + 1e-3j)))
+
+
+# Genuine tangents at large norms: rand_tangent at each size and norm,
+# seeds 0-9. U.T Xi errs by about eps ||Xi||_F, so no such tangent may be
+# refused as non-tangent. The map returns a point orthonormal to within
+# tol_struct(p) or refuses with DomainError: exp_beta's skew flow comes from
+# an eigh of S.T S, whose error eps ||S||^2 can move its output off the
+# manifold by up to 6e-2 at these norms.
+@pytest.mark.parametrize("norm", [1e5, 1e6, 1e7, 1e8, 1e10, 1e12], ids=lambda a: f"{a:.0e}")
+@pytest.mark.parametrize("n,p", [(300, 3), (50, 5), (50, 10)])
+@pytest.mark.parametrize("retract", [pf_ret, pl_ret, pl_cay_ret, exp_beta], ids=fn_id)
+def test_genuine_tangent_orthonormal_or_refused(retract, n, p, norm):
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        xi = rand_tangent(rand_point(n, p, rng), norm, rng)
+        try:
+            Y = retract(xi).U
+        except DomainError:
+            continue
+        assert np.linalg.norm(Y.T @ Y - np.eye(p)) <= tol_struct(p), seed

@@ -458,6 +458,16 @@ class TestDomainEdges:
         assert err <= 10 * np.finfo(float).eps / sigma_min
 
     @pytest.mark.parametrize("inv", [pl_inv, pl_cay_inv], ids=lambda f: f.__name__)
+    def test_rejects_orthogonal_frames(self, inv):
+        # U1 orthogonal to U0: U0.T U1 is rounding noise with singular values
+        # 8e-18 to 1.4e-16, a condition number of only 16, so the floor on
+        # sigma_min must be absolute
+        U0 = rand_point(40, 4, 0)
+        U1 = StiefelPoint(np.linalg.qr(U0.U, mode="complete")[0][:, 4:8])
+        with pytest.raises(DomainError, match="U0.T U1 nearly singular"):
+            inv(U0, U1)
+
+    @pytest.mark.parametrize("inv", [pl_inv, pl_cay_inv], ids=lambda f: f.__name__)
     def test_rejects_negative_determinant_on_series_route(self, inv, monkeypatch):
         # U0.T U1 is a generic reflection: condition 1, so it takes the
         # series and no SVD runs, and the untwist refuses the polar factor
