@@ -3,7 +3,8 @@
 Connects two points with the Euclidean-metric geodesic, pulls the
 endpoint back through each inverse retraction, and compares the
 retraction curves to the geodesic on an equidistant grid. Also fits the
-log-log convergence order of each retraction against Exp.
+log-log convergence order of each retraction against Exp over step
+lengths t ||xi|| from 1e-3 to 1e-1.
 
 The full-size experiment (n=1000, p up to 400) runs via the CLI:
     stiefel-bench all --n 1000 --p 400 --out bench_out
@@ -38,7 +39,7 @@ for rec in records[:: len(records) // 10]:
     print(f"  t={rec.t:.2f}  pf={rec.errors['pf']:.3e}  pl={rec.errors['pl']:.3e}")
 
 _, xi, _ = gen_triple(ExperimentConfig(n=100, p=20, seed=1, kinds=cfg.kinds))
-print("\nconvergence order vs Exp (log-log slope over t in [1e-3, 1e-1]):")
+print("\nconvergence order vs Exp (log-log slope over step lengths t|xi| in [1e-3, 1e-1]):")
 for kind, s in convergence_slopes(xi, cfg.kinds, BETA_EUCLIDEAN).items():
     print(f"  {kind:10s} beta=1   slope {s:.3f}  (second order)")
 s = convergence_slope(xi, "pl", BETA_CANONICAL)

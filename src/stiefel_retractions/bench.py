@@ -33,7 +33,7 @@ DEFAULT_DISTANCE = np.pi / 2
 DEFAULT_STEPS = 51
 DEFAULT_REPEATS = 100
 WARMUP_RUNS = 3
-# Step sizes t at which convergence_slopes fits log error against log t.
+# Step lengths t ||xi||_F at which convergence_slopes fits log error against log t.
 _ORDER_T_GRID = np.logspace(-3, -1, 12)
 
 
@@ -139,9 +139,15 @@ def max_errors(records: list[ErrorCurveRecord]) -> dict[str, float]:
 
 
 def convergence_slopes(xi: TangentVector, kinds: tuple[str, ...], beta: float) -> dict[str, float]:
-    """Least-squares slope of log error vs log t against Exp under the beta metric, per kind."""
-    devs = _deviations(xi, beta, {kind: xi for kind in kinds}, _ORDER_T_GRID)
-    log_t = np.log(_ORDER_T_GRID)
+    """Least-squares slope of log error vs log t against Exp under the beta metric, per kind.
+
+    It fits at t = _ORDER_T_GRID / ||xi||_F, step lengths t ||xi||_F from 1e-3 to 1e-1.
+    """
+    if xi.norm == 0:
+        raise ValidationError("convergence_slopes: tangent is zero, so it has no step length")
+    ts = _ORDER_T_GRID / xi.norm
+    devs = _deviations(xi, beta, {kind: xi for kind in kinds}, ts)
+    log_t = np.log(ts)
     return {kind: float(np.polyfit(log_t, np.log([d[kind] for d in devs]), 1)[0])
             for kind in kinds}
 

@@ -135,12 +135,6 @@ def project_tangent(base: StiefelPoint, Z: np.ndarray) -> TangentVector:
     return TangentVector(base, Xi)
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def rand_point(n: int, p: int, seed) -> StiefelPoint:
     """Seeded pseudo-random Stiefel point.
 
@@ -149,8 +143,7 @@ def rand_point(n: int, p: int, seed) -> StiefelPoint:
     deterministic function of the seed.
     """
     _check_sizes(n, p)
-    rng = _as_rng(seed)
-    G = rng.standard_normal((n, p))
+    G = np.random.default_rng(seed).standard_normal((n, p))
     Q, R = np.linalg.qr(G)
     signs = np.sign(np.diagonal(R))
     signs[signs == 0] = 1.0
@@ -163,8 +156,7 @@ def rand_tangent(base: StiefelPoint, norm_target: float, seed) -> TangentVector:
         raise ValidationError(f"norm_target must be finite and nonnegative, got {norm_target}")
     if norm_target > 0 and base.n == base.p == 1:
         raise ValidationError(f"norm_target must be 0 on St(1, 1), got {norm_target}")
-    rng = _as_rng(seed)
-    xi = project_tangent(base, rng.standard_normal(base.U.shape))
+    xi = project_tangent(base, np.random.default_rng(seed).standard_normal(base.U.shape))
     if norm_target == 0:
         return TangentVector(base, np.zeros_like(base.U))
     return xi.scaled(norm_target / xi.norm)

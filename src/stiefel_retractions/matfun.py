@@ -9,7 +9,7 @@ _MAX_NORM. invsqrtm_spd and logm_so sum a short power series
 (_sym_series) in place of their eigh, and _polar_parts in place of its
 SVD, when the argument is provably close to a multiple of I;
 solve_pf_sylvester sums a Stein series by squared Smith doubling in
-place of its Newton iteration when C is provably close to I. Both routes
+place of its Newton iteration when ||I - C||_2 is provably small. Both routes
 take their proof from _norm_bound. _inv is the only direct LAPACK call.
 """
 
@@ -281,13 +281,12 @@ _SIGN_MAX_STEPS = 50
 _SIGN_MAX_ROUNDING = 1e-2  # largest eps ||C||_F ||X||_F that leaves X certainly SPD
 _NOT_STABLE = "C is not positive stable, so C X + X C.T = 2 I has no positive definite solution"
 
-# _smith_doubling takes a C whose Cayley transform has its bound rho below this
-# cap: at most 4 doublings (11 products), at p = 400 and rho = 0.29 about 0.6 of
-# the Newton iteration's time (56 against 96 ms, 1 OpenBLAS thread, 2-core Xeon
-# VM). It also keeps the route accurate: the error grows as eps / (1 - rho), to
-# 9e-5 relative on C = diag(1 ... 0.5, 1e-12), where Newton's stays below 1e-15.
+# _smith_doubling takes C only when its Cayley transform A is certified below
+# this cap in norm: at p = 400 and C = I - 0.46 W, W orthogonal (||A||_2 = 0.3),
+# 5 doublings take 55 ms against Newton's 85 (1 OpenBLAS thread, 2-core Xeon VM).
+# The cap also keeps the route accurate: its error grows as eps / (1 - ||A||_2),
+# to 9e-5 relative on C = diag(1 ... 0.5, 1e-12), where Newton's stays below 1e-15.
 _SMITH_CAP = 0.3
-_SMITH_POWER_STEPS = 4
 
 
 class _Undecided(DomainError):
@@ -299,46 +298,31 @@ def _smith_doubling(C: np.ndarray) -> np.ndarray | None:
 
     With G = (I + C)^-1 and the Cayley transform A = G (I - C) = 2 G - I,
     the equation is the Stein equation X - A X A.T = 4 G G.T, whose
-    solution is sum_j A^j 4 G G.T A.T^j (Smith, 1968; Penzl, 2000). k
-    doublings X <- X + A X A.T, A <- A^2 sum its first 2^k terms and leave
-    a tail of at most ||X|| rho^(2^(k+1)) / (1 - rho^2), below 2^-54 for
-    the least such k. rho >= ||A||_2 comes from _norm_bound, and rho < 1
-    proves C positive stable and X SPD (X >= 4 G G.T > 0). Below the cap
-    ||X||_2 and ||C||_2 are at most (1 + rho) / (1 - rho) < 1.86, so X
-    passes solve_pf_sylvester's rounding check by far.
-
-    None when rho >= _SMITH_CAP or I + C is exactly singular, and before any
-    LU, with O(p^2) work, once a lower bound on ||I - C||_2 = ||2 A (I +
-    A)^-1||_2 <= 2 rho / (1 - rho) exceeds that bound at the cap: the largest
-    column norm of I - C, sharpened by power steps on (I - C).T (I - C).
+    solution X_inf is sum_j A^j 4 G G.T A.T^j (Smith, 1968; Penzl, 2000).
+    Before any LU, _norm_bound gives d >= ||D||_2, D = I - C, most often
+    from a column norm alone, and C is taken only when d / (2 - d) <
+    _SMITH_CAP. As A = D (2 I - D)^-1, that bounds ||A||_2 below the cap,
+    which proves C positive stable, X SPD (X >= 4 G G.T > 0) and ||X||_2,
+    ||C||_2 < 1.86, far inside solve_pf_sylvester's rounding check; and
+    sigma_min(I + C) >= 2 - d > 1.5, so the LU cannot be singular. Doubling
+    i, X <- X + A_i X A_i.T with A_i = A^(2^i), leaves a tail A_(i+1) X_inf
+    A_(i+1).T of norm at most ||A_i||_F^4 ||X_inf||, so the sum stops once
+    ||A_i||_F^4 <= 2^-54: within 5 doublings for p up to 1e8.
     """
     p = C.shape[0]
     D = -C
     D.flat[:: p + 1] += 1.0
-    y = D[:, np.argmax(np.einsum("ij,ij->j", D, D))]  # D e_j, of the largest norm
-    for _ in range(_SMITH_POWER_STEPS):  # each step can only raise ||y||
-        x = D.T @ y
-        y = D @ (x / (np.linalg.norm(x) or 1.0))
-    if np.linalg.norm(y) > 2.0 * _SMITH_CAP / (1.0 - _SMITH_CAP):
+    if _norm_bound(D, lambda d: d < 2.0 * _SMITH_CAP / (1.0 + _SMITH_CAP)) is None:
         return None
-    try:
-        G = _inv(np.eye(p) + C, "I + C is singular")
-    except DomainError:
-        return None
+    G = _inv(np.eye(p) + C, "I + C is singular")
     A = 2.0 * G
     A.flat[:: p + 1] -= 1.0
-    bound = _norm_bound(A, lambda rho: rho < _SMITH_CAP)
-    if bound is None:
-        return None
-    rho, k = bound[1], 0
-    while rho ** 2 ** (k + 1) > 2.0**-54 * (1.0 - rho**2):
-        k += 1
     X = 4.0 * (G @ G.T)
-    for i in range(k):
+    while True:
         X += A @ X @ A.T
-        if i < k - 1:
-            A = A @ A
-    return 0.5 * (X + X.T)
+        if np.linalg.norm(A) ** 4 <= 2.0**-54:
+            return 0.5 * (X + X.T)
+        A = A @ A
 
 
 def solve_pf_sylvester(C: np.ndarray) -> np.ndarray:
@@ -408,8 +392,14 @@ def _inv(M: np.ndarray, singular_message: str) -> np.ndarray:
 
 
 def cay(A: np.ndarray) -> np.ndarray:
-    """Cayley transform (I - A/2)^{-1} (I + A/2) = 2 (I - A/2)^{-1} - I; orthogonal for skew A."""
+    """Cayley transform (I - A/2)^{-1} (I + A/2) = 2 (I - A/2)^{-1} - I; orthogonal for skew A.
+
+    A must be skew up to tol_struct(p) relative to its norm, as in expm_skew.
+    """
     A = _check_square(A, "A")
+    defect = np.linalg.norm(A + A.T)
+    if defect > tol_struct(A.shape[0]) * np.linalg.norm(A):
+        raise ValidationError(f"cay: input not skew-symmetric (defect {defect:.3e})")
     eye = np.eye(A.shape[0])
     return 2.0 * _inv(eye - 0.5 * A, "cay: I - A/2 is singular") - eye
 
@@ -419,11 +409,16 @@ def cay_inv(Q: np.ndarray) -> np.ndarray:
 
     The result is skew-symmetrized, so it is exactly skew (A == -A.T)
     rather than skew up to roundoff. Raises DomainError when det(Q) < 0:
-    Q then has the eigenvalue -1, so Q + I is singular.
+    Q then has the eigenvalue -1, so Q + I is singular. As (I + Q)^-1 +
+    (I + Q)^-T = I exactly when Q.T Q = I, Q is refused as not orthogonal
+    once ||A + A.T||_F exceeds tol_struct(p) max(1, ||A||_F).
     """
     Q = _check_square(Q, "Q")
     eye = np.eye(Q.shape[0])
     if np.linalg.slogdet(Q)[0] < 0:
         raise DomainError("cay_inv: Q has negative determinant, so I + Q is singular")
     A = 2.0 * eye - 4.0 * _inv(eye + Q, "cay_inv: I + Q is singular")
+    defect = np.linalg.norm(A + A.T)
+    if defect > tol_struct(Q.shape[0]) * max(1.0, np.linalg.norm(A)):
+        raise ValidationError(f"cay_inv: input not orthogonal (defect {defect:.3e})")
     return 0.5 * (A - A.T)

@@ -9,6 +9,7 @@ from stiefel_retractions.bench import (
     convergence_slopes,
     emit_report,
     error_curve,
+    gen_tangent,
     gen_triple,
     max_errors,
     timing_run,
@@ -49,7 +50,7 @@ def reference_curve(triple, kinds, steps):
 def reference_slope(xi, kind, beta):
     """convergence_slope from the per-t full-completion expm geodesic and full retractions."""
     ret = RETRACTION_PAIRS[kind][0]
-    ts = np.logspace(-3, -1, 12)
+    ts = np.logspace(-3, -1, 12) / xi.norm
     U = xi.base.U
     errs = [np.linalg.norm(ret(xi.scaled(t)).U - exp_beta_full_completion(U, t * xi.Xi, beta))
             for t in ts]
@@ -141,6 +142,19 @@ class TestConvergenceSlope:
     def test_first_order_canonical(self):
         _, xi, _ = gen_triple(ExperimentConfig(**SMALL))
         assert 1.8 < convergence_slope(xi, "pl", BETA_CANONICAL) < 2.4
+
+    @pytest.mark.parametrize("distance", [1e-4, 1e6])
+    def test_order_at_any_distance(self, distance):
+        # the fit runs over step lengths 1e-3 to 1e-1, however long xi is
+        xi = gen_tangent(ExperimentConfig(**SMALL, distance=distance))
+        for beta, kinds, order in ((BETA_EUCLIDEAN, KINDS, 3.0), (BETA_CANONICAL, ("pl",), 2.0)):
+            for slope in convergence_slopes(xi, kinds, beta).values():
+                assert abs(slope - order) <= 0.3
+
+    def test_rejects_zero_tangent(self):
+        xi = gen_tangent(ExperimentConfig(**SMALL, distance=0.0))
+        with pytest.raises(ValidationError, match="tangent is zero"):
+            convergence_slopes(xi, KINDS, BETA_EUCLIDEAN)
 
     @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
     def test_rejects_nonfinite_beta(self, beta):

@@ -72,7 +72,9 @@ def test_invalid_dims_exit_nonzero(tmp_path):
     ("timing", ["--n", "30", "--p", "3", "--kinds", ""], "kinds must name at least one"),
     ("curve", ["--n", "1", "--p", "1"], "norm_target must be 0 on St(1, 1)"),
     ("curve", ["--n", "30", "--p", "3", "--seed", "-1"], "seed must be >= 0"),
-], ids=["p0", "repeats0", "dist_nan", "kinds_comma", "kinds_empty", "n1_p1", "seed_negative"])
+    ("order", ["--n", "30", "--p", "3", "--dist", "0"], "convergence_slopes: tangent is zero"),
+], ids=["p0", "repeats0", "dist_nan", "kinds_comma", "kinds_empty", "n1_p1", "seed_negative",
+        "order_dist0"])
 def test_invalid_sizes_exit_one(tmp_path, capsys, command, args, message):
     assert main([command, *args, "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")

@@ -552,10 +552,14 @@ def inv_calls(monkeypatch):
     return calls
 
 
-def cayley_inverse(A):
-    """C = (I - A)(I + A)^-1, whose Cayley transform (I + C)^-1 (I - C) is A."""
-    eye = np.eye(A.shape[0])
-    return (eye - A) @ np.linalg.inv(eye + A)
+# The largest d >= ||I - C||_2 that _smith_doubling takes: its Cayley
+# transform then has norm at most d / (2 - d) = _SMITH_CAP.
+SMITH_LIMIT = 2.0 * matfun._SMITH_CAP / (1.0 + matfun._SMITH_CAP)
+
+
+def shifted_orthogonal(r, p, rng):
+    """C = I - r W, W orthogonal: D = I - C has D D.T = r^2 I, so _norm_bound's d is r."""
+    return np.eye(p) - r * np.linalg.qr(rng.standard_normal((p, p)))[0]
 
 
 def newton_only(monkeypatch, C):
@@ -573,11 +577,11 @@ def outcome(solve, C):
         return type(exc), str(exc)
 
 
-def edge_overlap(delta, sigma_min):
+def edge_overlap(delta, sigma_min, seed=100):
     """C = exp(A) V diag(c) V.T, shaped as geodesic_edge's pairs at p = 100:
     a rotation angle pi - delta, or sigma_min(C) = c_0 small.
     """
-    p, rng = 100, np.random.default_rng(100)
+    p, rng = 100, np.random.default_rng(seed)
     if delta is not None:
         angles = rng.uniform(0.0, np.pi / 2, p // 2)
         angles[0] = np.pi - delta
@@ -596,9 +600,7 @@ ROUTE_CASES = {
     "near_I_0.01": lambda rng: np.eye(12) + 0.01 * rng.standard_normal((12, 12)),
     "near_I_0.05": lambda rng: np.eye(12) + 0.05 * rng.standard_normal((12, 12)),
     "near_I_0.2": lambda rng: np.eye(12) + 0.2 * rng.standard_normal((12, 12)),
-    "cayley_below_cap": lambda rng: cayley_inverse(
-        0.99 * matfun._SMITH_CAP * np.linalg.qr(rng.standard_normal((12, 12)))[0]
-    ),
+    "cayley_below_cap": lambda rng: shifted_orthogonal(0.99 * SMITH_LIMIT, 12, rng),
     "pf_overlap_0.5": lambda rng: pf_overlap(40, 8, 0.5, rng),
     "pf_overlap_4": lambda rng: pf_overlap(40, 8, 4.0, rng),
     "complex_pairs": lambda rng: complex_pair_matrix(9, rng),
@@ -618,10 +620,8 @@ class TestSmithRoute:
     @pytest.mark.parametrize("p", [8, 30])
     @pytest.mark.parametrize("side", [-1, 1])
     def test_route_limit(self, p, side, monkeypatch):
-        # A = r W, W orthogonal: A A.T = r^2 I, so the bound rho equals ||A||_2 = r
-        rng = np.random.default_rng(p + 8)
-        r = matfun._SMITH_CAP * (1.0 + side * 1e-3)
-        C = cayley_inverse(r * np.linalg.qr(rng.standard_normal((p, p)))[0])
+        # C = I - r W: the bound d on ||I - C||_2 is exactly r
+        C = shifted_orthogonal(SMITH_LIMIT * (1.0 + side * 1e-3), p, np.random.default_rng(p + 8))
         calls = inv_calls(monkeypatch)
         X = solve_pf_sylvester(C)
         took_newton = any(np.array_equal(M, C) for M in calls)
@@ -648,12 +648,12 @@ class TestSmithRoute:
         assert (X_smith is not None) == case.startswith(("near_I_0.0", "cayley", "pf_overlap_0"))
 
     def test_singular_i_plus_c_falls_through(self, monkeypatch):
-        # with the gate opened up, -I reaches the LU of I + C = 0; Newton then refuses it
-        monkeypatch.setattr(matfun, "_SMITH_CAP", 0.999)
+        # I + C = 0 for C = -I, but ||I - C||_2 = 2 turns it down before any
+        # LU; Newton's first LU is of C itself, and Newton refuses it
         calls = inv_calls(monkeypatch)
         with pytest.raises(DomainError, match="not positive stable"):
             solve_pf_sylvester(-np.eye(3))
-        assert np.array_equal(calls[0], np.zeros((3, 3)))
+        assert np.array_equal(calls[0], -np.eye(3))
 
     @pytest.mark.parametrize(
         "delta, sigma_min",
@@ -661,9 +661,13 @@ class TestSmithRoute:
         + [(None, s) for s in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)],
     )
     def test_edge_pairs_rejected_before_inv(self, delta, sigma_min, monkeypatch):
-        C = edge_overlap(delta, sigma_min)
+        # on every seed D = I - C has a column longer than the limit, so
+        # _norm_bound refuses C with no syrk, and _smith_doubling with no LU
         calls = inv_calls(monkeypatch)
-        assert matfun._smith_doubling(C) is None
+        for seed in (100, *range(30)):
+            C = edge_overlap(delta, sigma_min, seed)
+            assert np.max(np.linalg.norm(np.eye(100) - C, axis=0)) >= SMITH_LIMIT
+            assert matfun._smith_doubling(C) is None
         assert calls == []
 
     @pytest.mark.parametrize("sigma_min", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
@@ -739,3 +743,20 @@ class TestCayley:
             Q[:, 0] *= -1
         with pytest.raises(DomainError, match="negative determinant"):
             cay_inv(Q)
+
+    def test_cay_rejects_non_skew(self):
+        with pytest.raises(ValidationError, match="cay: input not skew-symmetric"):
+            cay(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+    def test_cay_inv_rejects_non_orthogonal(self):
+        # det = 1, so only the orthogonality test can refuse it
+        with pytest.raises(ValidationError, match="cay_inv: input not orthogonal"):
+            cay_inv(np.diag([2.0, 0.5]))
+
+    @pytest.mark.parametrize("p", [10, 100])
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
+    def test_roundtrip_near_pi(self, p, delta):
+        # ||cay_inv(Q)|| and the roundtrip error grow as 1/delta, but the
+        # orthogonality test refuses none of these rotations
+        Q = expm_skew(skew_with_largest_angle(np.pi - delta, p, np.random.default_rng(p)))
+        assert np.linalg.norm(cay(cay_inv(Q)) - Q) <= 1e-15 * np.sqrt(p) / delta
