@@ -99,10 +99,10 @@ def main(argv=None) -> int:
         _check_out(args.out)
         records = timings = slopes = None
         ok = True
+        if args.command in ("order", "all"):  # first: it refuses a zero tangent
+            slopes = _run_order(cfg)
         if args.command in ("curve", "all"):
             records, ok = _run_curve(cfg)
-        if args.command in ("order", "all"):
-            slopes = _run_order(cfg)
         if args.command in ("timing", "all"):
             timings = [timing_run(cfg, kind) for kind in cfg.kinds]
         summary = emit_report(args.out, cfg, records, timings, slopes)

@@ -15,6 +15,7 @@ take their proof from _norm_bound. _inv is the only direct LAPACK call.
 
 from __future__ import annotations
 
+import contextvars
 from typing import Callable
 
 import numpy as np
@@ -49,6 +50,15 @@ def tol_struct(p: int) -> float:
 # with ||M||_F <= 2 ||Xi||_F + sqrt(p) and take Frobenius norms of those,
 # fourth powers of ||M||_F, which stay finite below this bound.
 _MAX_NORM = np.finfo(float).max ** 0.25 / 4
+
+# While set to a list, each kernel appends (kernel, route, size) as it commits to
+# a route, before any work that can raise; size is logm_so's Schur block, _inv's p.
+_ROUTES: contextvars.ContextVar[list | None] = contextvars.ContextVar("_ROUTES", default=None)
+
+
+def _note(kernel: str, route: str, size: int = 0) -> None:
+    if (log := _ROUTES.get()) is not None:
+        log.append((kernel, route, size))
 
 
 def _check_entries(M: np.ndarray, name: str) -> np.ndarray:
@@ -184,12 +194,14 @@ def logm_so(Q: np.ndarray) -> np.ndarray:
     Y.flat[:: p + 1] += 0.5
     series = _sym_series(Y, _THETA_OVER_SIN_COEFFS)
     if series is not None:
+        _note("logm_so", "series")
         A = (0.5 * (Q - Q.T)) @ series[0]
         return 0.5 * (A - A.T)
     w, V = np.linalg.eigh(C)
     k = np.searchsorted(w, np.cos(_EIGH_MAX_ANGLE) + 1e-10, side="right")
     if k:
         k += np.argmax(np.append(np.diff(w[k - 1 :]) >= _SPLIT_GAP, True))
+    _note("logm_so", "eigh", int(k))
     Va, Vb = V[:, k:], V[:, :k]
     # phi = theta / sin(theta) at theta = arccos(w); np.sinc is exact at 0
     phi = 1.0 / np.sinc(np.arccos(np.minimum(w[k:], 1.0)) / np.pi)
@@ -243,7 +255,9 @@ def invsqrtm_spd(S: np.ndarray) -> np.ndarray:
     S = 0.5 * (S + S.T)
     series = _invsqrt_series(S)
     if series is not None:
+        _note("invsqrtm_spd", "series")
         return series[0]
+    _note("invsqrtm_spd", "eigh")
     w, V = np.linalg.eigh(S)
     if w[0] <= 0:
         raise ValidationError(
@@ -267,7 +281,9 @@ def _polar_parts(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     C = _check_square(C, "C")
     series = _invsqrt_series(C.T @ C)
     if series is not None:
+        _note("_polar_parts", "series")
         return C @ series[0], series[0], series[1]
+    _note("_polar_parts", "svd")
     M, s, Rt = np.linalg.svd(C)
     with np.errstate(all="ignore"):
         T = (Rt.T * (1.0 / s)) @ Rt
@@ -314,6 +330,7 @@ def _smith_doubling(C: np.ndarray) -> np.ndarray | None:
     D.flat[:: p + 1] += 1.0
     if _norm_bound(D, lambda d: d < 2.0 * _SMITH_CAP / (1.0 + _SMITH_CAP)) is None:
         return None
+    _note("solve_pf_sylvester", "smith")
     G = _inv(np.eye(p) + C, "I + C is singular")
     A = 2.0 * G
     A.flat[:: p + 1] -= 1.0
@@ -350,6 +367,7 @@ def solve_pf_sylvester(C: np.ndarray) -> np.ndarray:
         X = _smith_doubling(C)
         if X is not None:
             return X
+        _note("solve_pf_sylvester", "newton")
         Y, C_norm, C_1norm = 2.0 * np.eye(p), np.linalg.norm(C), np.linalg.norm(C, 1)
         for _ in range(_SIGN_MAX_STEPS):
             C_inv = _inv(C, f"solve_pf_sylvester: {_NOT_STABLE}")
@@ -384,6 +402,7 @@ def _inv(M: np.ndarray, singular_message: str) -> np.ndarray:
     under the tests' filter. Not np.linalg.solve with p right-hand sides: at
     p = 400 (OpenBLAS, 1 thread) cay takes 15-16 ms that way and 9-12 ms here.
     """
+    _note("_inv", "lu", M.shape[0])
     lu, piv, info = scipy.linalg.lapack.dgetrf(M)
     if info > 0:
         raise DomainError(singular_message)

@@ -73,9 +73,11 @@ def test_invalid_dims_exit_nonzero(tmp_path):
     ("curve", ["--n", "1", "--p", "1"], "norm_target must be 0 on St(1, 1)"),
     ("curve", ["--n", "30", "--p", "3", "--seed", "-1"], "seed must be >= 0"),
     ("order", ["--n", "30", "--p", "3", "--dist", "0"], "convergence_slopes: tangent is zero"),
+    ("all", ["--n", "30", "--p", "3", "--dist", "0"], "convergence_slopes: tangent is zero"),
 ], ids=["p0", "repeats0", "dist_nan", "kinds_comma", "kinds_empty", "n1_p1", "seed_negative",
-        "order_dist0"])
-def test_invalid_sizes_exit_one(tmp_path, capsys, command, args, message):
+        "order_dist0", "all_dist0"])
+def test_invalid_sizes_exit_one(tmp_path, capsys, monkeypatch, command, args, message):
+    monkeypatch.setattr(cli, "error_curve", lambda *args: pytest.fail("curve ran before refusal"))
     assert main([command, *args, "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not (tmp_path / "x").exists()
@@ -97,7 +99,7 @@ def test_order_factors_each_geodesic_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("out", ["file", "file/run"])
 def test_out_not_creatable_exits_one_before_any_experiment(tmp_path, capsys, monkeypatch, out):
     (tmp_path / "file").write_text("")
-    monkeypatch.setattr(bench, "error_curve", lambda *args: pytest.fail("experiment ran"))
+    monkeypatch.setattr(cli, "error_curve", lambda *args: pytest.fail("experiment ran"))
     assert main(["curve", *SMALL_ARGS, "--out", str(tmp_path / out)]) == 1
     assert capsys.readouterr().err.startswith("error: cannot create output directory")
 

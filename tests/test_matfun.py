@@ -143,28 +143,17 @@ class TestLogmSo:
         err = np.linalg.norm(logm_so(expm_skew(A)) - A)
         assert err <= 1e-12 * np.linalg.norm(A)
 
-    @staticmethod
-    def schur_block_sizes(A, monkeypatch):
-        """Error of logm_so(expm(A)) and the sizes of the blocks it Schur-factors."""
-        sizes = []
-        schur = scipy.linalg.schur
-
-        def recording_schur(M, *args, **kwargs):
-            sizes.append(M.shape[0])
-            return schur(M, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "schur", recording_schur)
-        return np.linalg.norm(logm_so(expm_skew(A)) - A), sizes
-
     @pytest.mark.parametrize("p", [10, 100])
     @pytest.mark.parametrize("side", [-1, 1])
-    def test_route_limit(self, p, side, monkeypatch):
+    def test_route_limit(self, p, side, routes):
         # largest angle just below 2 rad (no block) or above it (one plane)
         rng = np.random.default_rng(p + 2)
         A = skew_with_largest_angle(2.0 + side * 1e-3, p, rng)
-        err, sizes = self.schur_block_sizes(A, monkeypatch)
+        Q = expm_skew(A)
+        with routes() as log:
+            err = np.linalg.norm(logm_so(Q) - A)
         assert err <= 1e-12 * np.sqrt(p)
-        assert sizes == ([2] if side > 0 else [])
+        assert log == [("logm_so", "eigh", 2 if side > 0 else 0)]
 
     @pytest.mark.parametrize("p", [10, 100])
     @pytest.mark.parametrize(
@@ -172,15 +161,18 @@ class TestLogmSo:
         [(2.0, 2.0), (2.0 - 1e-12, 2.0 + 1e-12), (2.0 + 1e-9, 2.0 - 1.7e-8)],
         ids=["double", "straddle", "close_pair"],
     )
-    def test_split_at_gap(self, p, pair, monkeypatch):
+    def test_split_at_gap(self, p, pair, routes):
         # two angles at or across the 2 rad limit, closer than the split gap:
         # the block takes both planes whole, and the split costs no accuracy
         rng = np.random.default_rng(p + 3)
         angles = rng.uniform(0.0, np.pi / 2, p // 2)
         angles[:2] = pair
-        err, sizes = self.schur_block_sizes(skew_with_angles(angles, p, rng), monkeypatch)
+        A = skew_with_angles(angles, p, rng)
+        Q = expm_skew(A)
+        with routes() as log:
+            err = np.linalg.norm(logm_so(Q) - A)
         assert err <= 1e-12 * np.sqrt(p)
-        assert sizes == [4]
+        assert log == [("logm_so", "eigh", 4)]
 
     @pytest.mark.parametrize("theta_max", [1.0, 3.0])
     def test_exactly_skew(self, theta_max):
@@ -250,23 +242,6 @@ class TestInvsqrtmSpd:
             invsqrtm_spd(np.diag([1.0, 1.0 / cond]))
 
 
-def linalg_calls(monkeypatch, name):
-    """A list that records the shape of every np.linalg.<name> argument from now on."""
-    calls = []
-    fn = getattr(np.linalg, name)
-
-    def recording(M, *args, **kwargs):
-        calls.append(np.shape(M))
-        return fn(M, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, name, recording)
-    return calls
-
-
-def svd_calls(monkeypatch):
-    return linalg_calls(monkeypatch, "svd")
-
-
 def series_limit(coeffs):
     """The largest rho, to 1e-12 relative, with |c[16]| rho^16 <= eps/4 (1 - rho).
 
@@ -305,63 +280,60 @@ class TestSeriesRoute:
 
     @pytest.mark.parametrize("p", [10, 100])
     @pytest.mark.parametrize("side", [-1, 1])
-    def test_invsqrtm_route_limit(self, p, side, monkeypatch):
+    def test_invsqrtm_route_limit(self, p, side, routes):
         r = series_limit(matfun._INVSQRT_COEFFS) * (1.0 + side * 1e-3)
         S, T_ref = near_identity_spd(p, r, np.random.default_rng(p + 5))
-        calls = linalg_calls(monkeypatch, "eigh")
-        T = invsqrtm_spd(S)
-        assert calls == ([(p, p)] if side > 0 else [])
+        with routes() as log:
+            T = invsqrtm_spd(S)
+        assert log == [("invsqrtm_spd", "eigh" if side > 0 else "series", 0)]
         assert np.linalg.norm(T - T_ref) <= 1e-14 * np.linalg.norm(T_ref)
         assert np.array_equal(T, T.T)
 
     @pytest.mark.parametrize("p", [10, 100])
     @pytest.mark.parametrize("side", [-1, 1])
-    def test_polar_parts_route_limit(self, p, side, monkeypatch):
+    def test_polar_parts_route_limit(self, p, side, routes):
         # C = W0 S^(1/2) has C.T C = S; on the series route sigma_min is the
         # lower bound sqrt(mu (1 - rho)), here equal to the exact one
         rng = np.random.default_rng(p + 6)
         r = series_limit(matfun._INVSQRT_COEFFS) * (1.0 + side * 1e-3)
         S, T_ref = near_identity_spd(p, r, rng)
         W0 = np.linalg.qr(rng.standard_normal((p, p)))[0]
-        eighs = linalg_calls(monkeypatch, "eigh")
-        svds = svd_calls(monkeypatch)
-        W, H_inv, sigma_min = matfun._polar_parts(W0 @ np.linalg.inv(T_ref))
-        assert eighs == []
-        assert svds == ([(p, p)] if side > 0 else [])
+        with routes() as log:
+            W, H_inv, sigma_min = matfun._polar_parts(W0 @ np.linalg.inv(T_ref))
+        assert log == [("_polar_parts", "svd" if side > 0 else "series", 0)]
         assert np.linalg.norm(W - W0) <= 1e-14 * np.linalg.norm(W0)
         assert np.linalg.norm(H_inv - T_ref) <= 1e-14 * np.linalg.norm(T_ref)
         assert sigma_min == pytest.approx(np.sqrt(2.5 * (1.0 - r)), rel=1e-13)
 
     @pytest.mark.parametrize("p", [10, 100])
     @pytest.mark.parametrize("side", [-1, 1])
-    def test_logm_route_limit(self, p, side, monkeypatch):
+    def test_logm_route_limit(self, p, side, routes):
         # every plane at the angle theta with sin^2(theta/2) just below or
         # above the limit: Y = (I - (Q + Q.T)/2)/2 = sin^2(theta/2) I
         y = series_limit(matfun._THETA_OVER_SIN_COEFFS) * (1.0 + side * 1e-3)
         theta = 2.0 * np.arcsin(np.sqrt(y))
         A = skew_with_angles(np.full(p // 2, theta), p, np.random.default_rng(p + 7))
-        calls = linalg_calls(monkeypatch, "eigh")
-        L = logm_so(expm_skew(A))
-        assert calls == ([(p, p)] if side > 0 else [])
+        Q = expm_skew(A)
+        with routes() as log:
+            L = logm_so(Q)
+        assert log == [("logm_so", "eigh", 0) if side > 0 else ("logm_so", "series", 0)]
         assert np.linalg.norm(L - A) <= 1e-14 * np.linalg.norm(A)
 
 
 class TestPolarParts:
     @pytest.mark.parametrize("p", [10, 100])
     @pytest.mark.parametrize("side", [-1, 1])
-    def test_route_limit(self, p, side, monkeypatch):
+    def test_route_limit(self, p, side, routes):
         # cond(C.T C) just below or above 1e2, up to which an eigh of C.T C
-        # would match the SVD's accuracy: far off the series, C takes one
-        # SVD and no eigh either way
+        # would match the SVD's accuracy: far off the series, C takes the
+        # SVD either way
         rng = np.random.default_rng(p + 4)
         kappa = 1e2 * (1.0 + side * 1e-3)
         s = np.sqrt(np.linspace(1.0, 1.0 / kappa, p))
         Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
-        eighs = linalg_calls(monkeypatch, "eigh")
-        svds = svd_calls(monkeypatch)
-        W, H_inv, sigma_min = matfun._polar_parts(Q * s)
-        assert eighs == []
-        assert svds == [(p, p)]
+        with routes() as log:
+            W, H_inv, sigma_min = matfun._polar_parts(Q * s)
+        assert log == [("_polar_parts", "svd", 0)]
         assert np.linalg.norm(W - Q) <= 1e-13 * np.sqrt(p)
         assert np.linalg.norm(H_inv - np.diag(1.0 / s)) <= 1e-13 * np.sqrt(p) / s[-1]
         assert sigma_min == pytest.approx(s[-1], rel=1e-13)
@@ -370,12 +342,12 @@ class TestPolarParts:
         "C", [np.zeros((3, 3)), np.diag([1.0, 1e-200]), np.array([[1.0, 1.0], [1.0, 1.0]])],
         ids=["zero", "tiny", "rank_one"],
     )
-    def test_singular_takes_svd(self, C, monkeypatch):
+    def test_singular_takes_svd(self, C, routes):
         # the SVD reports sigma_min at roundoff or below, and an infinite
         # H^-1 raises no RuntimeWarning
-        calls = svd_calls(monkeypatch)
-        sigma_min = matfun._polar_parts(C)[2]
-        assert calls == [C.shape]
+        with routes() as log:
+            sigma_min = matfun._polar_parts(C)[2]
+        assert log == [("_polar_parts", "svd", 0)]
         assert sigma_min <= 1e-16
 
 
@@ -539,19 +511,6 @@ class TestSolvePfSylvester:
             solve_pf_sylvester(planar_rotation(np.pi / 2))
 
 
-def inv_calls(monkeypatch):
-    """A list that records a copy of every matrix matfun._inv inverts from now on."""
-    calls = []
-    fn = matfun._inv
-
-    def recording(M, *args):
-        calls.append(np.array(M))
-        return fn(M, *args)
-
-    monkeypatch.setattr(matfun, "_inv", recording)
-    return calls
-
-
 # The largest d >= ||I - C||_2 that _smith_doubling takes: its Cayley
 # transform then has norm at most d / (2 - d) = _SMITH_CAP.
 SMITH_LIMIT = 2.0 * matfun._SMITH_CAP / (1.0 + matfun._SMITH_CAP)
@@ -619,15 +578,13 @@ class TestSmithRoute:
 
     @pytest.mark.parametrize("p", [8, 30])
     @pytest.mark.parametrize("side", [-1, 1])
-    def test_route_limit(self, p, side, monkeypatch):
-        # C = I - r W: the bound d on ||I - C||_2 is exactly r
+    def test_route_limit(self, p, side, routes):
+        # C = I - r W: the bound d on ||I - C||_2 is exactly r; Smith takes one LU
         C = shifted_orthogonal(SMITH_LIMIT * (1.0 + side * 1e-3), p, np.random.default_rng(p + 8))
-        calls = inv_calls(monkeypatch)
-        X = solve_pf_sylvester(C)
-        took_newton = any(np.array_equal(M, C) for M in calls)
-        assert took_newton == (side > 0)
-        if side < 0:
-            assert len(calls) == 1
+        with routes() as log:
+            X = solve_pf_sylvester(C)
+        lus = [("_inv", "lu", p)] * (len(log) - 1 if side > 0 else 1)
+        assert log == [("solve_pf_sylvester", "newton" if side > 0 else "smith", 0), *lus]
         X_ref = sylvester_kron_oracle(C)
         assert np.linalg.norm(X - X_ref) <= 1e-13 * np.linalg.norm(X_ref)
 
@@ -647,37 +604,38 @@ class TestSmithRoute:
             assert X == X_newton
         assert (X_smith is not None) == case.startswith(("near_I_0.0", "cayley", "pf_overlap_0"))
 
-    def test_singular_i_plus_c_falls_through(self, monkeypatch):
+    def test_singular_i_plus_c_falls_through(self, routes):
         # I + C = 0 for C = -I, but ||I - C||_2 = 2 turns it down before any
         # LU; Newton's first LU is of C itself, and Newton refuses it
-        calls = inv_calls(monkeypatch)
-        with pytest.raises(DomainError, match="not positive stable"):
+        with routes() as log, pytest.raises(DomainError, match="not positive stable"):
             solve_pf_sylvester(-np.eye(3))
-        assert np.array_equal(calls[0], -np.eye(3))
+        assert log == [("solve_pf_sylvester", "newton", 0), ("_inv", "lu", 3)]
 
     @pytest.mark.parametrize(
         "delta, sigma_min",
         [(d, None) for d in (1e-1, 1e-2, 1e-3, 1e-4)]
         + [(None, s) for s in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)],
     )
-    def test_edge_pairs_rejected_before_inv(self, delta, sigma_min, monkeypatch):
+    def test_edge_pairs_rejected_before_inv(self, delta, sigma_min, routes):
         # on every seed D = I - C has a column longer than the limit, so
         # _norm_bound refuses C with no syrk, and _smith_doubling with no LU
-        calls = inv_calls(monkeypatch)
-        for seed in (100, *range(30)):
-            C = edge_overlap(delta, sigma_min, seed)
-            assert np.max(np.linalg.norm(np.eye(100) - C, axis=0)) >= SMITH_LIMIT
-            assert matfun._smith_doubling(C) is None
-        assert calls == []
+        with routes() as log:
+            for seed in (100, *range(30)):
+                C = edge_overlap(delta, sigma_min, seed)
+                assert np.max(np.linalg.norm(np.eye(100) - C, axis=0)) >= SMITH_LIMIT
+                assert matfun._smith_doubling(C) is None
+        assert log == []
 
     @pytest.mark.parametrize("sigma_min", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
-    def test_edge_sigma_min_pairs_take_few_newton_steps(self, sigma_min, monkeypatch):
-        # the norm-scaled iteration takes 7 steps on each, however small
-        # sigma_min, and leaves a residual near eps ||C|| ||X||
+    def test_edge_sigma_min_pairs_take_few_newton_steps(self, sigma_min, routes):
+        # the norm-scaled iteration takes 7 steps (one LU each) on each,
+        # however small sigma_min, and leaves a residual near eps ||C|| ||X||
         C = edge_overlap(None, sigma_min)
-        calls = inv_calls(monkeypatch)
-        X = solve_pf_sylvester(C)
-        assert len(calls) <= 8
+        with routes() as log:
+            X = solve_pf_sylvester(C)
+        steps = len(log) - 1
+        assert log == [("solve_pf_sylvester", "newton", 0)] + [("_inv", "lu", 100)] * steps
+        assert steps <= 8
         res = np.linalg.norm(C @ X + X @ C.T - 2.0 * np.eye(100))
         assert res <= 1e-15 * np.linalg.norm(C) * np.linalg.norm(X)
 
@@ -760,3 +718,15 @@ class TestCayley:
         # orthogonality test refuses none of these rotations
         Q = expm_skew(skew_with_largest_angle(np.pi - delta, p, np.random.default_rng(p)))
         assert np.linalg.norm(cay(cay_inv(Q)) - Q) <= 1e-15 * np.sqrt(p) / delta
+
+
+def test_route_log_is_off_outside_a_block(routes):
+    # None by default and after a block; no later call, on either route of a kernel, extends log
+    assert matfun._ROUTES.get() is None
+    with routes() as log:
+        invsqrtm_spd(np.eye(2))
+    for kernel in (invsqrtm_spd, matfun._polar_parts, solve_pf_sylvester, logm_so):
+        kernel(np.eye(2))
+        kernel(planar_rotation(3.0) if kernel is logm_so else np.diag([1.0, 4.0]))
+    assert [kernel for kernel, _, _ in log] == ["invsqrtm_spd"]
+    assert matfun._ROUTES.get() is None

@@ -75,19 +75,6 @@ def point_with_nan(n, p, seed):
     return StiefelPoint(U)
 
 
-def call_counter(monkeypatch, module, name):
-    """A list that gains one entry per call to module.name from now on."""
-    calls = []
-    fn = getattr(module, name)
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return fn(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counting)
-    return calls
-
-
 def newton_route_pair():
     """(U0, U1) at distance 4, whose Cayley transform of U0.T U1 has ||A||_2 = 0.42:
     above the squared Smith cap, so solve_pf_sylvester takes the Newton iteration."""
@@ -468,7 +455,7 @@ class TestDomainEdges:
             inv(U0, U1)
 
     @pytest.mark.parametrize("inv", [pl_inv, pl_cay_inv], ids=lambda f: f.__name__)
-    def test_rejects_negative_determinant_on_series_route(self, inv, monkeypatch):
+    def test_rejects_negative_determinant_on_series_route(self, inv, routes):
         # U0.T U1 is a generic reflection: condition 1, so it takes the
         # series and no SVD runs, and the untwist refuses the polar factor
         # of determinant -1
@@ -476,35 +463,34 @@ class TestDomainEdges:
         Q = rand_point(5, 5, 3).U
         if np.linalg.det(Q) > 0:
             Q[:, 0] *= -1
-        svds = call_counter(monkeypatch, np.linalg, "svd")
-        with pytest.raises(DomainError):
+        with routes() as log, pytest.raises(DomainError):
             inv(U0, StiefelPoint(U0.U @ Q))
-        assert not svds
+        assert log[0] == ("_polar_parts", "series", 0)
 
-    def test_nearby_pair_takes_no_eigh(self, monkeypatch):
+    def test_nearby_pair_takes_no_eigh(self, routes):
         # U0.T U1 and its polar factor are close enough to I (series gate
-        # bounds about 0.08 and 0.013 here) that no p-by-p eigh runs
+        # bounds about 0.08 and 0.013 here) that no p-by-p eigh or SVD runs
         U0 = rand_point(200, 80, 0)
         xi = rand_tangent(U0, np.pi / 2, 10)
         U1 = pl_ret(xi)
         M, _, Rt = np.linalg.svd(U0.U + xi.Xi, full_matrices=False)
-        eighs = call_counter(monkeypatch, np.linalg, "eigh")
-        eta = pl_inv(U0, U1)
-        Y = pf_ret(xi)
-        assert eighs == []
+        with routes() as log:
+            eta = pl_inv(U0, U1)
+            Y = pf_ret(xi)
+        assert log == [(k, "series", 0) for k in ("_polar_parts", "logm_so", "invsqrtm_spd")]
         assert np.linalg.norm(eta.Xi - xi.Xi) <= 1e-12 * xi.norm
         assert np.linalg.norm(Y.U - M @ Rt) <= 1e-13 * np.sqrt(80)
 
     @pytest.mark.parametrize("kind", ["pf", "pl", "pl_cayley"])
-    def test_chart_edge_retraction_takes_eigh(self, kind, monkeypatch):
+    def test_chart_edge_retraction_takes_eigh(self, kind, routes):
         # at sigma_min(U0.T U1) = 1e-3 the inverse returns a tangent of norm
         # ~1e3, whose retraction's Gram matrix is far outside the series gate
         ret, inv = RETRACTION_PAIRS[kind]
         U0, U1, _ = edge_pair(100, 40, 1e-3, 0)
         xi = inv(U0, U1)
-        eighs = call_counter(monkeypatch, np.linalg, "eigh")
-        again = ret(xi)
-        assert eighs == [1]
+        with routes() as log:
+            again = ret(xi)
+        assert [r for r in log if r[0] != "_inv"] == [("invsqrtm_spd", "eigh", 0)]
         assert np.linalg.norm(again.U - U1.U) <= 1e-10 * np.sqrt(40)
 
     @pytest.mark.parametrize("b", [1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8])
