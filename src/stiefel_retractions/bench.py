@@ -33,7 +33,7 @@ DEFAULT_DISTANCE = np.pi / 2
 DEFAULT_STEPS = 51
 DEFAULT_REPEATS = 100
 WARMUP_RUNS = 3
-# Step lengths t ||xi||_F at which convergence_slopes fits log error against log t.
+# Step lengths t along xi / ||xi||_F at which convergence_slopes fits log error against log t.
 _ORDER_T_GRID = np.logspace(-3, -1, 12)
 
 
@@ -141,13 +141,18 @@ def max_errors(records: list[ErrorCurveRecord]) -> dict[str, float]:
 def convergence_slopes(xi: TangentVector, kinds: tuple[str, ...], beta: float) -> dict[str, float]:
     """Least-squares slope of log error vs log t against Exp under the beta metric, per kind.
 
-    It fits at t = _ORDER_T_GRID / ||xi||_F, step lengths t ||xi||_F from 1e-3 to 1e-1.
+    The slopes depend only on xi's direction, so the fit runs on xi scaled
+    to unit norm, at t = _ORDER_T_GRID: step lengths from 1e-3 to 1e-1.
+    xi is first divided by its largest entry, as ||xi||_F squares them
+    and reads 0 below about 1e-154.
     """
-    if xi.norm == 0:
+    big = np.max(np.abs(xi.Xi))
+    if big == 0:
         raise ValidationError("convergence_slopes: tangent is zero, so it has no step length")
-    ts = _ORDER_T_GRID / xi.norm
-    devs = _deviations(xi, beta, {kind: xi for kind in kinds}, ts)
-    log_t = np.log(ts)
+    X = xi.Xi / big
+    unit = TangentVector(xi.base, X / np.linalg.norm(X))
+    devs = _deviations(unit, beta, {kind: unit for kind in kinds}, _ORDER_T_GRID)
+    log_t = np.log(_ORDER_T_GRID)
     return {kind: float(np.polyfit(log_t, np.log([d[kind] for d in devs]), 1)[0])
             for kind in kinds}
 

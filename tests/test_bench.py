@@ -143,9 +143,11 @@ class TestConvergenceSlope:
         _, xi, _ = gen_triple(ExperimentConfig(**SMALL))
         assert 1.8 < convergence_slope(xi, "pl", BETA_CANONICAL) < 2.4
 
-    @pytest.mark.parametrize("distance", [1e-4, 1e6])
+    @pytest.mark.parametrize("distance", [1e-200, 1e-160, 1e-4, 1e6])
     def test_order_at_any_distance(self, distance):
-        # the fit runs over step lengths 1e-3 to 1e-1, however long xi is
+        # the fit runs over step lengths 1e-3 to 1e-1, however long xi is,
+        # also where ||xi||_F, which squares the entries, would read 0 or
+        # the geodesic's eigh would meet subnormal input
         xi = gen_tangent(ExperimentConfig(**SMALL, distance=distance))
         for beta, kinds, order in ((BETA_EUCLIDEAN, KINDS, 3.0), (BETA_CANONICAL, ("pl",), 2.0)):
             for slope in convergence_slopes(xi, kinds, beta).values():

@@ -322,13 +322,13 @@ class TestSeriesRoute:
 
 class TestPolarParts:
     @pytest.mark.parametrize("p", [10, 100])
-    @pytest.mark.parametrize("side", [-1, 1])
-    def test_route_limit(self, p, side, routes):
-        # cond(C.T C) just below or above 1e2, up to which an eigh of C.T C
-        # would match the SVD's accuracy: far off the series, C takes the
-        # SVD either way
+    @pytest.mark.parametrize("kappa", [1e2 * (1.0 - 1e-3), 1e2 * (1.0 + 1e-3)],
+                             ids=["below_1e2", "above_1e2"])
+    def test_svd_route_accuracy(self, p, kappa, routes):
+        # cond(C.T C) just below or above 1e2, up to which the deleted Gram
+        # rung, an eigh of C.T C, matched the SVD's accuracy. Far off the
+        # series, both take the SVD; this guards against bringing the rung back
         rng = np.random.default_rng(p + 4)
-        kappa = 1e2 * (1.0 + side * 1e-3)
         s = np.sqrt(np.linspace(1.0, 1.0 / kappa, p))
         Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
         with routes() as log:
@@ -468,8 +468,8 @@ class TestSolvePfSylvester:
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("p", [5, 9, 17, 30])
-    def test_recursion_against_kronecker_oracle(self, p, k):
-        # X(s C) = X(C) / s; at s = 1e16 the Newton recursion needs its
+    def test_scaled_against_kronecker_oracle(self, p, k):
+        # X(s C) = X(C) / s; at s = 1e16 the Newton iteration needs its
         # scaling to converge within _SIGN_MAX_STEPS
         s = 10.0 ** (16 * (k - 3))
         C = complex_pair_matrix(p, np.random.default_rng(100 + p))
@@ -519,6 +519,11 @@ SMITH_LIMIT = 2.0 * matfun._SMITH_CAP / (1.0 + matfun._SMITH_CAP)
 def shifted_orthogonal(r, p, rng):
     """C = I - r W, W orthogonal: D = I - C has D D.T = r^2 I, so _norm_bound's d is r."""
     return np.eye(p) - r * np.linalg.qr(rng.standard_normal((p, p)))[0]
+
+
+def singular_inv(M, singular_message):
+    """matfun._inv as it answers an exactly singular M."""
+    raise DomainError(singular_message)
 
 
 def newton_only(monkeypatch, C):
@@ -589,20 +594,18 @@ class TestSmithRoute:
         assert np.linalg.norm(X - X_ref) <= 1e-13 * np.linalg.norm(X_ref)
 
     @pytest.mark.parametrize("case", ROUTE_CASES)
-    def test_refuses_nothing_newton_accepts(self, case, monkeypatch):
+    def test_refuses_nothing_newton_accepts(self, case, monkeypatch, routes):
         # the route returns an X only where Newton returns the same X; it never raises
         C = ROUTE_CASES[case](np.random.default_rng(len(case)))
-        X_smith = matfun._smith_doubling(C)
+        with routes() as log:
+            X = outcome(solve_pf_sylvester, C)
         X_newton = outcome(lambda C: newton_only(monkeypatch, C), C)
-        if X_smith is not None:
-            assert isinstance(X_newton, np.ndarray)
-            assert np.linalg.norm(X_smith - X_newton) <= 1e-13 * np.linalg.norm(X_newton)
-        X = outcome(solve_pf_sylvester, C)
+        smith = log[0] == ("solve_pf_sylvester", "smith", 0)
         if isinstance(X_newton, np.ndarray):
             assert np.linalg.norm(X - X_newton) <= 1e-13 * np.linalg.norm(X_newton)
         else:
-            assert X == X_newton
-        assert (X_smith is not None) == case.startswith(("near_I_0.0", "cayley", "pf_overlap_0"))
+            assert not smith and X == X_newton
+        assert smith == case.startswith(("near_I_0.0", "cayley", "pf_overlap_0"))
 
     def test_singular_i_plus_c_falls_through(self, routes):
         # I + C = 0 for C = -I, but ||I - C||_2 = 2 turns it down before any
@@ -616,15 +619,19 @@ class TestSmithRoute:
         [(d, None) for d in (1e-1, 1e-2, 1e-3, 1e-4)]
         + [(None, s) for s in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)],
     )
-    def test_edge_pairs_rejected_before_inv(self, delta, sigma_min, routes):
+    def test_edge_pairs_rejected_before_inv(self, delta, sigma_min, routes, monkeypatch):
         # on every seed D = I - C has a column longer than the limit, so
-        # _norm_bound refuses C with no syrk, and _smith_doubling with no LU
+        # _norm_bound refuses C with no syrk, and the Smith route with no LU:
+        # the first inverse, which refuses here, is Newton's
+        monkeypatch.setattr(matfun, "_inv", singular_inv)
+        seeds = (100, *range(30))
         with routes() as log:
-            for seed in (100, *range(30)):
+            for seed in seeds:
                 C = edge_overlap(delta, sigma_min, seed)
                 assert np.max(np.linalg.norm(np.eye(100) - C, axis=0)) >= SMITH_LIMIT
-                assert matfun._smith_doubling(C) is None
-        assert log == []
+                with pytest.raises(DomainError, match="not positive stable"):
+                    solve_pf_sylvester(C)
+        assert log == [("solve_pf_sylvester", "newton", 0)] * len(seeds)
 
     @pytest.mark.parametrize("sigma_min", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
     def test_edge_sigma_min_pairs_take_few_newton_steps(self, sigma_min, routes):

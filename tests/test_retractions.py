@@ -29,6 +29,8 @@ from stiefel_retractions.retractions import (
     pl_ret,
 )
 
+from test_matfun import singular_inv
+
 
 def fit_slope(ts, errs):
     return np.polyfit(np.log(ts), np.log(errs), 1)[0]
@@ -80,6 +82,64 @@ def newton_route_pair():
     above the squared Smith cap, so solve_pf_sylvester takes the Newton iteration."""
     U0 = rand_point(40, 8, 0)
     return U0, pf_ret(rand_tangent(U0, 4.0, np.random.default_rng(1)))
+
+
+def svd_route_reflection():
+    """A point whose upper block C = Q diag(0.3, 0.5, 0.7, 0.9) V.T has det(Q V.T) = -1.
+
+    S = C.T C is far from a multiple of I, so C takes the SVD, and the
+    polar factor Q V.T is a reflection.
+    """
+    n, p, rng = 12, 4, np.random.default_rng(0)
+    Q, V = (np.linalg.qr(rng.standard_normal((p, p)))[0] for _ in range(2))
+    if np.linalg.det(Q @ V.T) > 0:
+        Q[:, 0] *= -1
+    s = np.array([0.3, 0.5, 0.7, 0.9])
+    P = np.linalg.qr(rng.standard_normal((n - p, p)))[0]
+    return StiefelPoint(np.vstack([(Q * s) @ V.T, (P * np.sqrt(1.0 - s**2)) @ V.T]))
+
+
+def generic_reflection():
+    """[Q; 0] with Q a generic reflection: I + Q is singular only up to roundoff."""
+    Q = rand_point(5, 5, 3).U
+    if np.linalg.det(Q) > 0:
+        Q[:, 0] *= -1
+    return StiefelPoint(np.vstack([Q, np.zeros((7, 5))]))
+
+
+def orthogonal_frame():
+    """Q.T Q[:, 4:8], Q the full QR of a random 40-by-4 frame: orthogonal to E
+    up to rounding, its upper block has singular values 4e-18 to 1.7e-16."""
+    Q = np.linalg.qr(rand_point(40, 4, 0).U, mode="complete")[0]
+    return StiefelPoint(Q.T @ Q[:, 4:8])
+
+
+# Points the PL inverses refuse at U0 = E: (point, error, message match, and
+# the _polar_parts route taken before the refusal, None if it is refused first).
+PL_REFUSALS = {
+    # U1's projection onto span(E) is rank deficient
+    "singular_upper_block": (lambda: StiefelPoint(np.eye(8)[:, [2, 1]]),
+                             DomainError, "U0.T U1 nearly singular", "svd"),
+    "column_flip": (lambda: StiefelPoint(np.eye(6, 2) * [-1.0, 1.0]), DomainError, None, "series"),
+    # condition 1, so no SVD runs, and the untwist refuses the polar factor of det -1
+    "generic_reflection": (generic_reflection, DomainError, None, "series"),
+    "svd_route_reflection": (svd_route_reflection, DomainError, None, "svd"),
+    # a condition number of only 47: the floor on sigma_min must be absolute
+    "orthogonal_frame": (orthogonal_frame, DomainError, "U0.T U1 nearly singular", "svd"),
+    "non_finite": (lambda: point_with_nan(10, 3, 1), ValidationError, "non-finite", None),
+}
+
+# The PL-family maps from a point to chart coordinates, all at E.
+PL_INVERSES = {
+    "pl_inv": lambda U: pl_inv(canonical_point(U.n, U.p), U),
+    "pl_cay_inv": lambda U: pl_cay_inv(canonical_point(U.n, U.p), U),
+    "chart_at_E": chart_at_E,
+}
+
+# (sigma_min, seed) of edge_pair inputs at n = 100, p = 40, all on the SVD route.
+SVD_ROUTE_PAIRS = [(s, 1) for s in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)] + [
+    (s, seed) for s in (2e-1, 5e-2, 3e-2, 2e-2) for seed in range(4)
+]
 
 
 class TestPolarFactor:
@@ -139,23 +199,16 @@ class TestPolarFactor:
         with pytest.raises(DomainError, match="positive definite"):
             pf_inv(canonical_point(10, 4), U1)
 
-    @pytest.mark.parametrize("routine,nan_out,message", [
-        ("dgetrf", False, "^pf_inv: outside PF injectivity domain .*positive definite"),
-        ("dgetri", True, r"^pf_inv: Sylvester solve failed .*X not finite"),
-    ], ids=["dgetrf", "dgetri"])
-    def test_lapack_failure_is_domain_error(self, routine, nan_out, message, monkeypatch):
-        # an exactly singular LU is a statement about C; a non-finite
+    @pytest.mark.parametrize("fake_inv, message", [
+        (singular_inv, "^pf_inv: outside PF injectivity domain .*positive definite"),
+        (lambda M, singular_message: np.full_like(M, np.nan),
+         r"^pf_inv: Sylvester solve failed .*X not finite"),
+    ], ids=["singular", "not_finite"])
+    def test_inverse_failure_is_domain_error(self, fake_inv, message, monkeypatch):
+        # an exactly singular C_k is a statement about C; a non-finite
         # inverse is a numerical failure and says so
-        lapack_fn = getattr(scipy.linalg.lapack, routine)
-
-        def failing(*args, **kwargs):
-            *out, info = lapack_fn(*args, **kwargs)
-            if nan_out:
-                return np.full_like(out[0], np.nan), info
-            return (*out, 1)
-
-        monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
         U0, U1 = newton_route_pair()
+        monkeypatch.setattr(matfun, "_inv", fake_inv)
         with pytest.raises(DomainError, match=message):
             pf_inv(U0, U1)
 
@@ -167,12 +220,13 @@ class TestPolarFactor:
         ):
             pf_inv(U0, U1)
 
-    def test_newton_route_pair_takes_newton(self):
+    def test_newton_route_pair_takes_newton(self, routes):
         # the two tests above exercise the Newton iteration only if the
         # squared Smith route turns their pair down
         U0, U1 = newton_route_pair()
-        C = U0.U.T @ U1.U
-        assert matfun._smith_doubling(C) is None
+        with routes() as log:
+            pf_inv(U0, U1)
+        assert [r for r in log if r[0] != "_inv"] == [("solve_pf_sylvester", "newton", 0)]
 
 
 class TestPolarLight:
@@ -243,31 +297,8 @@ class TestPolarLight:
         Xi = U0.U @ (logm_so(ortho) - ortho) + U1.U @ ((Rt2.T * (1.0 / s)) @ Rt2)
         assert np.allclose(Xi, pl_inv(U0, U1).Xi, atol=1e-12)
 
-    def test_rejects_singular_upper_block(self):
-        # U1's projection onto span(U0) is rank deficient
-        U0 = canonical_point(8, 2)
-        U1 = StiefelPoint(np.array(
-            [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 0.0],
-             [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
-        ))
-        with pytest.raises(DomainError):
-            pl_inv(U0, U1)
-
-    def test_rejects_negative_determinant(self):
-        U0 = canonical_point(6, 2)
-        flipped = U0.U.copy()
-        flipped[:, 0] *= -1
-        with pytest.raises(DomainError):
-            pl_inv(U0, StiefelPoint(flipped))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValidationError, match="non-finite"):
-            pl_inv(rand_point(10, 3, 0), point_with_nan(10, 3, 1))
-
     def test_completion_independence(self):
         # O(np^2) form equals Q_hat * param_E(Q_hat.T xi) for explicit completions
-        import scipy.linalg
-
         for seed in range(3):
             n, p = 14, 4
             U0 = rand_point(n, p, seed)
@@ -314,22 +345,6 @@ class TestChartAtE:
         assert np.linalg.norm(A2 - A) < 1e-10
         assert np.linalg.norm(B2 - B) < 1e-10
         assert np.linalg.norm(param_at_E(ChartCoordinates(A2, B2)).U - U.U) < 1e-10
-
-    def test_rejects_singular_upper_block(self):
-        U = np.zeros((8, 2))
-        U[1, 1] = U[2, 0] = 1.0
-        with pytest.raises(DomainError):
-            chart_at_E(StiefelPoint(U))
-
-    def test_rejects_negative_determinant(self):
-        U = canonical_point(6, 2).U.copy()
-        U[:, 0] *= -1
-        with pytest.raises(DomainError):
-            chart_at_E(StiefelPoint(U))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValidationError, match="non-finite"):
-            chart_at_E(point_with_nan(8, 2, 0))
 
     def test_param_rejects_non_skew_block(self):
         with pytest.raises(ValidationError):
@@ -380,19 +395,6 @@ class TestPolarLightCayley:
         ]
         assert abs(fit_slope(ts, errs) - 3.0) < 0.2
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValidationError, match="non-finite"):
-            pl_cay_inv(rand_point(10, 3, 0), point_with_nan(10, 3, 1))
-
-    def test_rejects_negative_determinant(self):
-        # U0.T U1 is a generic reflection, so I + U0.T U1 is singular only up to roundoff
-        U0 = rand_point(12, 5, 0)
-        Q = rand_point(5, 5, 1).U
-        if np.linalg.det(Q) > 0:
-            Q[:, 0] *= -1
-        with pytest.raises(DomainError):
-            pl_cay_inv(U0, StiefelPoint(U0.U @ Q))
-
     @pytest.mark.parametrize("delta", [1e-3, 1e-4])
     def test_roundtrip_near_pi(self, delta):
         # one rotation angle pi - delta: cay_inv returns ||A|| ~ 4/delta, and
@@ -426,46 +428,25 @@ class TestDomainEdges:
             return
         assert np.linalg.norm(again.U - U1.U) <= 1e-10 * np.sqrt(p)
 
-    @pytest.mark.parametrize("sigma_min", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
-    def test_pl_inv_accuracy_near_chart_edge(self, sigma_min):
+    @pytest.mark.parametrize("case", PL_REFUSALS)
+    @pytest.mark.parametrize("inverse", PL_INVERSES)
+    def test_pl_inverse_refuses(self, inverse, case, routes):
+        point, error, match, route = PL_REFUSALS[case]
+        with routes() as log, pytest.raises(error, match=match):
+            PL_INVERSES[inverse](point())
+        assert log[:1] == ([("_polar_parts", route, 0)] if route else [])
+
+    @pytest.mark.parametrize("sigma_min, seed", SVD_ROUTE_PAIRS)
+    def test_pl_inv_accuracy_on_svd_route(self, sigma_min, seed, routes):
         # the SVD keeps the error first order in 1/sigma_min; a Gram route
-        # through eigh(C.T C) would make it second order
-        U0, U1, Xi = edge_pair(100, 40, sigma_min, 1)
-        err = np.linalg.norm(pl_inv(U0, U1).Xi - Xi) / np.linalg.norm(Xi)
-        assert err <= 10 * np.finfo(float).eps / sigma_min
-
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("sigma_min", [2e-1, 5e-2, 3e-2, 2e-2])
-    def test_pl_inv_accuracy_at_gram_gate(self, sigma_min, seed):
-        # cond(U0.T U1)^2 = 1/sigma_min^2 lies on either side of 1e2, up to
-        # which a Gram route through eigh(C.T C) would meet this bound; one
-        # taken up to 1e4 misses it at 3e-2 and 2e-2
+        # through eigh(C.T C) would make it second order. Such a route meets
+        # this bound up to cond(C.T C) = 1e2, and one taken up to 1e4 misses
+        # it at sigma_min 3e-2 and 2e-2
         U0, U1, Xi = edge_pair(100, 40, sigma_min, seed)
-        err = np.linalg.norm(pl_inv(U0, U1).Xi - Xi) / np.linalg.norm(Xi)
+        with routes() as log:
+            err = np.linalg.norm(pl_inv(U0, U1).Xi - Xi) / np.linalg.norm(Xi)
+        assert log[0] == ("_polar_parts", "svd", 0)
         assert err <= 10 * np.finfo(float).eps / sigma_min
-
-    @pytest.mark.parametrize("inv", [pl_inv, pl_cay_inv], ids=lambda f: f.__name__)
-    def test_rejects_orthogonal_frames(self, inv):
-        # U1 orthogonal to U0: U0.T U1 is rounding noise with singular values
-        # 8e-18 to 1.4e-16, a condition number of only 16, so the floor on
-        # sigma_min must be absolute
-        U0 = rand_point(40, 4, 0)
-        U1 = StiefelPoint(np.linalg.qr(U0.U, mode="complete")[0][:, 4:8])
-        with pytest.raises(DomainError, match="U0.T U1 nearly singular"):
-            inv(U0, U1)
-
-    @pytest.mark.parametrize("inv", [pl_inv, pl_cay_inv], ids=lambda f: f.__name__)
-    def test_rejects_negative_determinant_on_series_route(self, inv, routes):
-        # U0.T U1 is a generic reflection: condition 1, so it takes the
-        # series and no SVD runs, and the untwist refuses the polar factor
-        # of determinant -1
-        U0 = rand_point(12, 5, 2)
-        Q = rand_point(5, 5, 3).U
-        if np.linalg.det(Q) > 0:
-            Q[:, 0] *= -1
-        with routes() as log, pytest.raises(DomainError):
-            inv(U0, StiefelPoint(U0.U @ Q))
-        assert log[0] == ("_polar_parts", "series", 0)
 
     def test_nearby_pair_takes_no_eigh(self, routes):
         # U0.T U1 and its polar factor are close enough to I (series gate
