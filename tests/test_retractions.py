@@ -395,6 +395,15 @@ class TestPolarLightCayley:
         ]
         assert abs(fit_slope(ts, errs) - 3.0) < 0.2
 
+    def test_rejects_negative_determinant(self, routes):
+        # the table's SVD-route reflection, moved from E to a random U0:
+        # U1 = [U0, U0_perp] X, so U0.T U1 is X's upper block
+        U0 = rand_point(12, 4, 0)
+        W = np.hstack([U0.U, np.linalg.qr(U0.U, mode="complete")[0][:, 4:]])
+        with routes() as log, pytest.raises(DomainError):
+            pl_cay_inv(U0, StiefelPoint(W @ svd_route_reflection().U))
+        assert log[0] == ("_polar_parts", "svd", 0)
+
     @pytest.mark.parametrize("delta", [1e-3, 1e-4])
     def test_roundtrip_near_pi(self, delta):
         # one rotation angle pi - delta: cay_inv returns ||A|| ~ 4/delta, and
@@ -435,6 +444,19 @@ class TestDomainEdges:
         with routes() as log, pytest.raises(error, match=match):
             PL_INVERSES[inverse](point())
         assert log[:1] == ([("_polar_parts", route, 0)] if route else [])
+
+    @pytest.mark.parametrize("inv", [pl_inv, pl_cay_inv], ids=lambda f: f.__name__)
+    def test_rejects_negative_determinant_on_series_route(self, inv, routes):
+        # the table's generic reflection, moved from E to a random U0, where
+        # U0.T U1 is formed as a product: condition 1, so it takes the series
+        # and no SVD runs, and the untwist refuses the polar factor of det -1
+        U0 = rand_point(12, 5, 2)
+        Q = rand_point(5, 5, 3).U
+        if np.linalg.det(Q) > 0:
+            Q[:, 0] *= -1
+        with routes() as log, pytest.raises(DomainError):
+            inv(U0, StiefelPoint(U0.U @ Q))
+        assert log[0] == ("_polar_parts", "series", 0)
 
     @pytest.mark.parametrize("sigma_min, seed", SVD_ROUTE_PAIRS)
     def test_pl_inv_accuracy_on_svd_route(self, sigma_min, seed, routes):
