@@ -5,12 +5,15 @@ routines reduce their work to these kernels plus tall-skinny matrix
 products. All functions are pure and validate their structural
 preconditions (skewness, orthogonality, positive definiteness) before
 computing; every argument must be real, finite and of norm at most
-_MAX_NORM. invsqrtm_spd and logm_so sum a short power series
-(_sym_series) in place of their eigh, and _polar_parts in place of its
-SVD, when the argument is provably close to a multiple of I;
-solve_pf_sylvester sums a Stein series by squared Smith doubling in
-place of its Newton iteration when ||I - C||_2 is provably small. Both routes
-take their proof from _norm_bound. _inv is the only direct LAPACK call.
+_MAX_NORM. invsqrtm_spd and logm_so sum a short power series in a
+symmetric or skew X (_sym_series; X X.T = +-X^2) in place of their eigh,
+_polar_parts in place of its SVD and expm_skew in place of Pade, when the
+argument is provably close to a multiple of I; from degree 8 on it sums in
+chunks of four powers by Horner's rule in X^4, to the degree that the
+smaller of two certified bounds on ||X||_2 needs. solve_pf_sylvester sums
+a Stein series by squared Smith doubling in place of its Newton iteration
+when ||I - C||_2 is provably small. Both routes take their proof from
+_norm_bound. _inv is the only direct LAPACK call.
 """
 
 from __future__ import annotations
@@ -52,7 +55,8 @@ def tol_struct(p: int) -> float:
 _MAX_NORM = np.finfo(float).max ** 0.25 / 4
 
 # While set to a list, each kernel appends (kernel, route, size) as it commits to
-# a route, before any work that can raise; size is logm_so's Schur block, _inv's p.
+# a route, before any work that can raise; size is a series' degree m, logm_so's
+# Schur block or _inv's p.
 _ROUTES: contextvars.ContextVar[list | None] = contextvars.ContextVar("_ROUTES", default=None)
 
 
@@ -93,13 +97,15 @@ def _check_square(M: np.ndarray, name: str) -> np.ndarray:
     return _check_entries(M, name)
 
 
-# _sym_series sums at most this degree: 8 p-by-p products, at p = 400 about
-# the cost of the eigh it replaces. Both series below then reach ||X||_2 ~ 0.1.
+# _sym_series sums at most this degree: 2 syrks and 4 p-by-p products (the cap was
+# set at 8, at p = 400 about an eigh). Its series reach ||X||_2 ~ 0.1, exp ~ 0.6.
 _SERIES_DEGREE = 15
 _B = np.cumprod(np.r_[1.0, 1.0 - 0.5 / np.arange(1, _SERIES_DEGREE + 2)])  # |binom(-1/2, k)|
 _INVSQRT_COEFFS = _B * (-1.0) ** np.arange(_B.size)  # (1 + x)^(-1/2)
 # theta / sin(theta) at y = sin^2(theta/2): arcsin(sqrt y) / sqrt(y) times (1 - y)^(-1/2)
 _THETA_OVER_SIN_COEFFS = np.convolve(_B / (2 * np.arange(_B.size) + 1), _B)[: _B.size]
+# exp(A) = sum_j (A A.T)^j (c_2j I + c_2j+1 A) for a skew A, as A A.T = -A^2
+_EXP_COEFFS = (-1.0) ** (np.arange(_B.size) // 2) / np.cumprod(np.r_[1.0, np.arange(1, _B.size)])
 
 
 def _norm_bound(X: np.ndarray, accept: Callable[[float], bool]) -> tuple[np.ndarray, float] | None:
@@ -116,43 +122,68 @@ def _norm_bound(X: np.ndarray, accept: Callable[[float], bool]) -> tuple[np.ndar
     return (XXt, rho) if accept(rho) else None
 
 
-def _sym_series(X: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """(sum_k coeffs[k] X^k, rho) for a symmetric X with ||X||_2 <= rho, or None.
+def _sym_series(X: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, float, int] | None:
+    """(sum_k coeffs[k] X^k, rho, m) for a symmetric or skew X with ||X||_2 <= rho, or None.
 
-    |c_k| must not grow: the degree m is then the least with a tail bound
-    |c[m+1]| rho^(m+1) / (1 - rho) <= eps/4 = 2^-54, and None means m > _SERIES_DEGREE.
-    rho comes from _norm_bound, whose X X.T = X^2 the sum reuses.
-    Horner's rule in X^2 over the pairs c_2j I + c_2j+1 X (Paterson &
-    Stockmeyer, 1973) then takes m // 2 products, m rounded up to odd.
+    X^k stands for Y^(k // 2) X^(k % 2), Y = X X.T, which is X^2 for a
+    symmetric X and -X^2 for a skew one. |c_k| must not grow: the degree m
+    is then the least with a tail bound |c[m+1]| r^(m+1) / (1 - r) <= eps/4
+    = 2^-54 at r >= ||X||_2. None means m > _SERIES_DEGREE at r = rho =
+    sqrt(||Y||_1), from _norm_bound, whose Y the sum reuses. Horner's rule
+    over chunks of s powers (Paterson & Stockmeyer, 1973) then takes
+    ceil((m + 1)/s) - 1 products, one fewer when the top chunk is c_m I
+    alone: in Z = Y over the pairs c_2j I + c_2j+1 X (s = 2) or, once m is
+    at least 8, in Z = Y^2 = Y Y.T, a second syrk, over the chunks c_4i I +
+    c_4i+1 X + c_4i+2 Y + c_4i+3 Y X (s = 4; one more product for Y X).
+    Y^2 also gives rho_2 = ||Y^2||_1^(1/4) >= ||X||_2, and m is then taken
+    at r = min(rho, rho_2).
     """
 
-    def fits(rho: float) -> np.ndarray:  # the degrees m whose tail bound holds
+    def degree(rho: float) -> int | None:  # the least m whose tail bound holds
         r = min(rho, 1.0)
         tail = np.abs(coeffs[1:]) * r ** np.arange(1, coeffs.size)
-        return np.flatnonzero(tail <= 2.0**-54 * (1.0 - r))
+        fits = np.flatnonzero(tail <= 2.0**-54 * (1.0 - r))
+        return int(fits[0]) if fits.size else None
 
-    bound = _norm_bound(X, lambda rho: fits(rho).size > 0)
+    bound = _norm_bound(X, lambda rho: degree(rho) is not None)
     if bound is None:
         return None
-    X2, rho = bound
-    p, top = X.shape[0], int(fits(rho)[0]) | 1
-    R = coeffs[top] * X
-    R.flat[:: p + 1] += coeffs[top - 1]
-    for k in range(top - 2, 0, -2):
-        R = X2 @ R
-        R += coeffs[k] * X
-        R.flat[:: p + 1] += coeffs[k - 1]
-    return R, rho
+    Y, rho = bound
+    p, m = X.shape[0], degree(rho)
+    s, Z, powers = 2, Y, (X,)
+    if m >= 8:  # below, at p = 400, the syrk costs more than the chunks save
+        Z = Y @ Y.T
+        m = degree(min(rho, float(np.linalg.norm(Z, 1)) ** 0.25))
+        s, powers = 4, (X, Y, Y @ X)
+
+    def add_chunk(R: np.ndarray, k: int, stop: int) -> None:  # R += c_j X^(j-k), k <= j < stop
+        for c, P in zip(coeffs[k + 1 : stop], powers):
+            R += c * P
+        R.flat[:: p + 1] += coeffs[k]
+
+    top = max(m, 1)  # R starts as c_top X^(top-k), or as c_top Z when c_top I is a chunk
+    k = top - (top % s or s)
+    R = coeffs[top] * (powers[top % s - 1] if top % s else Z)
+    add_chunk(R, k, top)
+    while k:
+        k -= s
+        R = Z @ R
+        add_chunk(R, k, k + s)
+    return R, rho, m
 
 
 def expm_skew(A: np.ndarray) -> np.ndarray:
     """Exponential of a skew-symmetric matrix; the result is in SO(p).
 
-    Uses Pade scaling-and-squaring on the skew input; the output is
-    returned as computed, without re-orthogonalization. Its output feeds
+    An A that _sym_series certifies near 0 (its bound up to about 0.6)
+    takes the Taylor series sum_j (A A.T)^j (c_2j I + c_2j+1 A), c_k =
+    (-1)^(k // 2) / k! (Moler & Van Loan, 2003), as A A.T = -A^2: from
+    degree 8 on in chunks of four powers, to the degree that min(rho,
+    rho_2) needs. Any other A takes scipy's Pade scaling-and-squaring. The
+    output is returned as computed, without re-orthogonalization. It feeds
     logm_so roundtrips near pi, where the real eigh form of the geodesic
-    flow in core is less accurate. Its orthogonality defect grows as
-    eps ||A||, so A is refused with DomainError once that exceeds
+    flow in core is less accurate. Its orthogonality defect grows as eps
+    ||A||, so A is refused with DomainError once that exceeds
     tol_struct(1), at ||A||_F above about 4.5e7.
     """
     A = _check_square(A, "A")
@@ -162,6 +193,11 @@ def expm_skew(A: np.ndarray) -> np.ndarray:
         raise ValidationError(f"expm_skew: input not skew-symmetric (defect {defect:.3e})")
     if np.finfo(float).eps * A_norm > tol_struct(1):
         raise DomainError(f"expm_skew: norm {A_norm:.3e} too large to exponentiate accurately")
+    series = _sym_series(A, _EXP_COEFFS)
+    if series is not None:
+        _note("expm_skew", "series", series[2])
+        return series[0]
+    _note("expm_skew", "pade")
     return scipy.linalg.expm(A)
 
 
@@ -194,7 +230,7 @@ def logm_so(Q: np.ndarray) -> np.ndarray:
     Y.flat[:: p + 1] += 0.5
     series = _sym_series(Y, _THETA_OVER_SIN_COEFFS)
     if series is not None:
-        _note("logm_so", "series")
+        _note("logm_so", "series", series[2])
         A = (0.5 * (Q - Q.T)) @ series[0]
         return 0.5 * (A - A.T)
     w, V = np.linalg.eigh(C)
@@ -218,8 +254,8 @@ def logm_so(Q: np.ndarray) -> np.ndarray:
     return 0.5 * (A - A.T)
 
 
-def _invsqrt_series(S: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """(S^(-1/2), exactly symmetric, and a lower bound on sqrt(lambda_min(S))), or None.
+def _invsqrt_series(S: np.ndarray) -> tuple[np.ndarray, float, int] | None:
+    """(S^(-1/2), exactly symmetric, a lower bound on sqrt(lambda_min(S)), the degree), or None.
 
     _sym_series in E = S/mu - I, mu = trace(S)/p: ||E||_2 <= rho < 1 proves
     S positive definite with eigenvalues in [mu (1 - rho), mu (1 + rho)].
@@ -234,8 +270,8 @@ def _invsqrt_series(S: np.ndarray) -> tuple[np.ndarray, float] | None:
     series = _sym_series(E, _INVSQRT_COEFFS)
     if series is None:
         return None
-    R, rho = series
-    return (0.5 / np.sqrt(mu)) * (R + R.T), float(np.sqrt(mu * (1.0 - rho)))
+    R, rho, m = series
+    return (0.5 / np.sqrt(mu)) * (R + R.T), float(np.sqrt(mu * (1.0 - rho))), m
 
 
 def invsqrtm_spd(S: np.ndarray) -> np.ndarray:
@@ -255,7 +291,7 @@ def invsqrtm_spd(S: np.ndarray) -> np.ndarray:
     S = 0.5 * (S + S.T)
     series = _invsqrt_series(S)
     if series is not None:
-        _note("invsqrtm_spd", "series")
+        _note("invsqrtm_spd", "series", series[2])
         return series[0]
     _note("invsqrtm_spd", "eigh")
     w, V = np.linalg.eigh(S)
@@ -281,7 +317,7 @@ def _polar_parts(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     C = _check_square(C, "C")
     series = _invsqrt_series(C.T @ C)
     if series is not None:
-        _note("_polar_parts", "series")
+        _note("_polar_parts", "series", series[2])
         return C @ series[0], series[0], series[1]
     _note("_polar_parts", "svd")
     M, s, Rt = np.linalg.svd(C)

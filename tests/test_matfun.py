@@ -242,17 +242,36 @@ class TestInvsqrtmSpd:
             invsqrtm_spd(np.diag([1.0, 1.0 / cond]))
 
 
-def series_limit(coeffs):
-    """The largest rho, to 1e-12 relative, with |c[16]| rho^16 <= eps/4 (1 - rho).
+def series_limit(coeffs, m=matfun._SERIES_DEGREE):
+    """The largest rho, to 1e-12 relative, with |c[m+1]| rho^(m+1) <= eps/4 (1 - rho).
 
-    The tail bound of _sym_series at its degree cap: the 2-norm up to which it sums coeffs.
+    The tail bound of _sym_series at degree m, by default its cap: the 2-norm
+    up to which it sums coeffs to degree m.
     """
     lo, hi = 0.0, 1.0
     while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
-        fits = abs(coeffs[-1]) * mid ** (coeffs.size - 1) <= 0.25 * np.finfo(float).eps * (1 - mid)
+        fits = abs(coeffs[m + 1]) * mid ** (m + 1) <= 0.25 * np.finfo(float).eps * (1 - mid)
         lo, hi = (mid, hi) if fits else (lo, mid)
     return lo
+
+
+def series_degree(coeffs, r):
+    """The least m with |c[m+1]| r^(m+1) <= eps/4 (1 - r), or None above the cap."""
+    for m in range(matfun._SERIES_DEGREE + 1):
+        if abs(coeffs[m + 1]) * r ** (m + 1) <= 0.25 * np.finfo(float).eps * (1 - r):
+            return m
+    return None
+
+
+def dense_series(X, coeffs, m):
+    """sum_k<=m coeffs[k] Y^(k // 2) X^(k % 2), Y = X X.T, one power at a time."""
+    R, Yj = np.zeros_like(X), np.eye(X.shape[0])
+    for k in range(m + 1):
+        R += coeffs[k] * (Yj @ X if k % 2 else Yj)
+        if k % 2:
+            Yj = Yj @ (X @ X.T)
+    return R
 
 
 def near_identity_spd(p, r, rng):
@@ -268,15 +287,44 @@ def near_identity_spd(p, r, rng):
 
 
 class TestSeriesRoute:
-    """The series route of invsqrtm_spd, _polar_parts and logm_so, on either side of its limit."""
+    """The series route of invsqrtm_spd, _polar_parts, logm_so and expm_skew, on either side
+    of its limit, and the evaluator behind it."""
 
     @pytest.mark.parametrize(
-        "coeffs", [matfun._INVSQRT_COEFFS, matfun._THETA_OVER_SIN_COEFFS], ids=["invsqrt", "phi"]
+        "coeffs, limits",
+        [(matfun._INVSQRT_COEFFS, (0.1, 0.11)), (matfun._THETA_OVER_SIN_COEFFS, (0.1, 0.11)),
+         (matfun._EXP_COEFFS, (0.6, 0.62))],
+        ids=["invsqrt", "phi", "exp"],
     )
-    def test_coefficients_do_not_grow(self, coeffs):
+    def test_coefficients_do_not_grow(self, coeffs, limits):
         # _sym_series's tail bound needs non-increasing magnitudes
         assert np.all(np.diff(np.abs(coeffs)) <= 0)
-        assert 0.1 < series_limit(coeffs) < 0.11
+        assert limits[0] < series_limit(coeffs) < limits[1]
+
+    @pytest.mark.parametrize("m", range(matfun._SERIES_DEGREE + 1))
+    @pytest.mark.parametrize("shape", ["symmetric", "skew"])
+    @pytest.mark.parametrize(
+        "coeffs", [matfun._INVSQRT_COEFFS, matfun._THETA_OVER_SIN_COEFFS, matfun._EXP_COEFFS],
+        ids=["invsqrt", "phi", "exp"],
+    )
+    def test_sym_series_matches_dense_sum(self, coeffs, shape, m):
+        # X X.T = r^2 I, so both bounds on ||X||_2 are r, chosen inside the
+        # interval of r whose degree is m; m = 0 is X = 0, whose sum is exactly I.
+        # m = 1 ... 7 sums pairs, of either parity; 8 ... 15 chunks of four, every m % 4
+        p, rng = 6, np.random.default_rng(m)
+        r = np.sqrt(series_limit(coeffs, m - 1) * series_limit(coeffs, m)) if m else 0.0
+        if shape == "skew":
+            X = skew_with_angles(np.full(p // 2, r), p, rng)
+        else:
+            Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+            X = (Q * (r * np.where(np.arange(p) % 2, 1.0, -1.0))) @ Q.T
+            X = 0.5 * (X + X.T)
+        R, rho, degree = matfun._sym_series(X, coeffs)
+        assert degree == m and rho == pytest.approx(r, rel=1e-14)
+        R_ref = dense_series(X, coeffs, m)
+        assert np.linalg.norm(R - R_ref) <= 1e-15 * np.linalg.norm(R_ref)
+        if not m:
+            assert np.array_equal(R, np.eye(p))
 
     @pytest.mark.parametrize("p", [10, 100])
     @pytest.mark.parametrize("side", [-1, 1])
@@ -285,7 +333,8 @@ class TestSeriesRoute:
         S, T_ref = near_identity_spd(p, r, np.random.default_rng(p + 5))
         with routes() as log:
             T = invsqrtm_spd(S)
-        assert log == [("invsqrtm_spd", "eigh" if side > 0 else "series", 0)]
+        assert log == [("invsqrtm_spd", "eigh", 0) if side > 0
+                       else ("invsqrtm_spd", "series", matfun._SERIES_DEGREE)]
         assert np.linalg.norm(T - T_ref) <= 1e-14 * np.linalg.norm(T_ref)
         assert np.array_equal(T, T.T)
 
@@ -300,7 +349,8 @@ class TestSeriesRoute:
         W0 = np.linalg.qr(rng.standard_normal((p, p)))[0]
         with routes() as log:
             W, H_inv, sigma_min = matfun._polar_parts(W0 @ np.linalg.inv(T_ref))
-        assert log == [("_polar_parts", "svd" if side > 0 else "series", 0)]
+        assert log == [("_polar_parts", "svd", 0) if side > 0
+                       else ("_polar_parts", "series", matfun._SERIES_DEGREE)]
         assert np.linalg.norm(W - W0) <= 1e-14 * np.linalg.norm(W0)
         assert np.linalg.norm(H_inv - T_ref) <= 1e-14 * np.linalg.norm(T_ref)
         assert sigma_min == pytest.approx(np.sqrt(2.5 * (1.0 - r)), rel=1e-13)
@@ -316,8 +366,40 @@ class TestSeriesRoute:
         Q = expm_skew(A)
         with routes() as log:
             L = logm_so(Q)
-        assert log == [("logm_so", "eigh", 0) if side > 0 else ("logm_so", "series", 0)]
+        assert log == [("logm_so", "eigh", 0) if side > 0
+                       else ("logm_so", "series", matfun._SERIES_DEGREE)]
         assert np.linalg.norm(L - A) <= 1e-14 * np.linalg.norm(A)
+
+    @pytest.mark.parametrize("p", [10, 100])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_expm_route_limit(self, p, side, routes):
+        # every plane at the angle r, so A A.T = r^2 I and both bounds are r
+        r = series_limit(matfun._EXP_COEFFS) * (1.0 + side * 1e-3)
+        A = skew_with_angles(np.full(p // 2, r), p, np.random.default_rng(p + 9))
+        with routes() as log:
+            Q = expm_skew(A)
+        assert log == [("expm_skew", "pade", 0) if side > 0
+                       else ("expm_skew", "series", matfun._SERIES_DEGREE)]
+        Q_ref = scipy.linalg.expm(A)
+        assert np.linalg.norm(Q - Q_ref) <= 1e-14 * np.linalg.norm(Q_ref)
+        assert np.linalg.norm(Q.T @ Q - np.eye(p)) <= matfun.tol_struct(p)
+
+    def test_fourth_power_bound_lowers_degree(self, routes):
+        # the skew block of a pullback-shaped tangent (n = 1000, p = 400,
+        # ||A||_2 = 0.077): rho = sqrt(||A A.T||_1) = 0.17 alone would need
+        # degree 11, rho_2 = ||(A A.T)^2||_1^(1/4) = 0.11 needs 10
+        U0 = rand_point(1000, 400, 0)
+        A = U0.U.T @ rand_tangent(U0, np.pi / 2, 1).Xi
+        A = 0.5 * (A - A.T)
+        Y = A @ A.T
+        rho, rho_2 = np.sqrt(np.linalg.norm(Y, 1)), np.linalg.norm(Y @ Y, 1) ** 0.25
+        coeffs = matfun._EXP_COEFFS
+        assert series_degree(coeffs, rho) == 11 and series_degree(coeffs, rho_2) == 10
+        with routes() as log:
+            Q = expm_skew(A)
+        assert log == [("expm_skew", "series", 10)]
+        Q_ref = scipy.linalg.expm(A)
+        assert np.linalg.norm(Q - Q_ref) <= 1e-14 * np.linalg.norm(Q_ref)
 
 
 class TestPolarParts:
@@ -625,9 +707,9 @@ class TestSmithRoute:
         # the first inverse, which refuses here, is Newton's
         monkeypatch.setattr(matfun, "_inv", singular_inv)
         seeds = (100, *range(30))
+        Cs = [edge_overlap(delta, sigma_min, seed) for seed in seeds]
         with routes() as log:
-            for seed in seeds:
-                C = edge_overlap(delta, sigma_min, seed)
+            for C in Cs:
                 assert np.max(np.linalg.norm(np.eye(100) - C, axis=0)) >= SMITH_LIMIT
                 with pytest.raises(DomainError, match="not positive stable"):
                     solve_pf_sylvester(C)

@@ -115,17 +115,19 @@ def orthogonal_frame():
 
 
 # Points the PL inverses refuse at U0 = E: (point, error, message match, and
-# the _polar_parts route taken before the refusal, None if it is refused first).
+# the _polar_parts route and size taken before the refusal, None if it is refused first).
 PL_REFUSALS = {
     # U1's projection onto span(E) is rank deficient
     "singular_upper_block": (lambda: StiefelPoint(np.eye(8)[:, [2, 1]]),
-                             DomainError, "U0.T U1 nearly singular", "svd"),
-    "column_flip": (lambda: StiefelPoint(np.eye(6, 2) * [-1.0, 1.0]), DomainError, None, "series"),
+                             DomainError, "U0.T U1 nearly singular", ("svd", 0)),
+    # C.T C = I exactly, so the series has degree 0
+    "column_flip": (lambda: StiefelPoint(np.eye(6, 2) * [-1.0, 1.0]), DomainError, None,
+                    ("series", 0)),
     # condition 1, so no SVD runs, and the untwist refuses the polar factor of det -1
-    "generic_reflection": (generic_reflection, DomainError, None, "series"),
-    "svd_route_reflection": (svd_route_reflection, DomainError, None, "svd"),
+    "generic_reflection": (generic_reflection, DomainError, None, ("series", 1)),
+    "svd_route_reflection": (svd_route_reflection, DomainError, None, ("svd", 0)),
     # a condition number of only 47: the floor on sigma_min must be absolute
-    "orthogonal_frame": (orthogonal_frame, DomainError, "U0.T U1 nearly singular", "svd"),
+    "orthogonal_frame": (orthogonal_frame, DomainError, "U0.T U1 nearly singular", ("svd", 0)),
     "non_finite": (lambda: point_with_nan(10, 3, 1), ValidationError, "non-finite", None),
 }
 
@@ -443,20 +445,21 @@ class TestDomainEdges:
         point, error, match, route = PL_REFUSALS[case]
         with routes() as log, pytest.raises(error, match=match):
             PL_INVERSES[inverse](point())
-        assert log[:1] == ([("_polar_parts", route, 0)] if route else [])
+        assert log[:1] == ([("_polar_parts", *route)] if route else [])
 
     @pytest.mark.parametrize("inv", [pl_inv, pl_cay_inv], ids=lambda f: f.__name__)
     def test_rejects_negative_determinant_on_series_route(self, inv, routes):
         # the table's generic reflection, moved from E to a random U0, where
         # U0.T U1 is formed as a product: condition 1, so it takes the series
-        # and no SVD runs, and the untwist refuses the polar factor of det -1
+        # (degree 1: C.T C is I up to rounding) and no SVD runs, and the untwist
+        # refuses the polar factor of det -1
         U0 = rand_point(12, 5, 2)
         Q = rand_point(5, 5, 3).U
         if np.linalg.det(Q) > 0:
             Q[:, 0] *= -1
         with routes() as log, pytest.raises(DomainError):
             inv(U0, StiefelPoint(U0.U @ Q))
-        assert log[0] == ("_polar_parts", "series", 0)
+        assert log[0] == ("_polar_parts", "series", 1)
 
     @pytest.mark.parametrize("sigma_min, seed", SVD_ROUTE_PAIRS)
     def test_pl_inv_accuracy_on_svd_route(self, sigma_min, seed, routes):
@@ -480,20 +483,23 @@ class TestDomainEdges:
         with routes() as log:
             eta = pl_inv(U0, U1)
             Y = pf_ret(xi)
-        assert log == [(k, "series", 0) for k in ("_polar_parts", "logm_so", "invsqrtm_spd")]
+        assert log == [("_polar_parts", "series", 12), ("logm_so", "series", 7),
+                       ("invsqrtm_spd", "series", 13)]
         assert np.linalg.norm(eta.Xi - xi.Xi) <= 1e-12 * xi.norm
         assert np.linalg.norm(Y.U - M @ Rt) <= 1e-13 * np.sqrt(80)
 
     @pytest.mark.parametrize("kind", ["pf", "pl", "pl_cayley"])
     def test_chart_edge_retraction_takes_eigh(self, kind, routes):
         # at sigma_min(U0.T U1) = 1e-3 the inverse returns a tangent of norm
-        # ~1e3, whose retraction's Gram matrix is far outside the series gate
+        # ~1e3, whose retraction's Gram matrix is far outside the series gate;
+        # so is the PL twist, which takes Pade
         ret, inv = RETRACTION_PAIRS[kind]
         U0, U1, _ = edge_pair(100, 40, 1e-3, 0)
         xi = inv(U0, U1)
         with routes() as log:
             again = ret(xi)
-        assert [r for r in log if r[0] != "_inv"] == [("invsqrtm_spd", "eigh", 0)]
+        twist = [("expm_skew", "pade", 0)] if kind == "pl" else []
+        assert [r for r in log if r[0] != "_inv"] == [*twist, ("invsqrtm_spd", "eigh", 0)]
         assert np.linalg.norm(again.U - U1.U) <= 1e-10 * np.sqrt(40)
 
     @pytest.mark.parametrize("b", [1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8])
