@@ -4,13 +4,21 @@ The accuracy experiment generates a triple (U0, xi, U1) with
 Exp_{U0}(xi) = U1 under the Euclidean metric and a prescribed distance,
 pulls U1 back through each inverse retraction to get xi_R, and records
 the Frobenius deviation between the geodesic t -> Exp(t xi) and the
-retraction curve t -> R(t xi_R) on an equidistant grid in [0, 1].
+retraction curve t -> R(t xi_R) on an equidistant grid in [0, 1]. The
+order experiment fits log deviation against log t for small t, per
+retraction and per metric parameter beta.
+
+Each experiment works in one 2p-dimensional frame F = qr([U0, xi]) that
+holds both curves: the inverses run on (F.T U0, F.T U1), every beta's
+geodesic is compared with one retraction curve per kind, and the QR and
+the products with F.T are its only n-sized work.
 """
 
 from __future__ import annotations
 
 import csv
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,6 +70,9 @@ class ExperimentConfig:
         unknown = [k for k in self.kinds if k not in RETRACTION_PAIRS]
         if unknown:
             raise ValidationError(f"unknown retraction kinds: {unknown}")
+        repeated = sorted({k for k in self.kinds if self.kinds.count(k) > 1})
+        if repeated:
+            raise ValidationError(f"kinds must not repeat, got {repeated} more than once")
 
 
 @dataclass
@@ -89,31 +100,44 @@ def gen_triple(cfg: ExperimentConfig) -> tuple[StiefelPoint, TangentVector, Stie
     return xi.base, xi, exp_beta(xi, BETA_EUCLIDEAN)
 
 
-def _deviations(
-    xi: TangentVector,
-    beta: float,
-    curves: dict[str, TangentVector],
-    ts,
-) -> list[dict[str, float]]:
-    """||Exp_beta(t xi) - R_kind(t xi_kind)||_F for each t and each kind.
+def _frame(xi: TangentVector) -> tuple[np.ndarray, TangentVector]:
+    """F from the reduced QR of [U, Xi], and xi in its coordinates: (F.T U, F.T Xi).
 
-    Every curve tangent must lie in span [U, Xi], as xi does and as every
-    inverse retraction of (U, Exp(xi)) does. With F from the reduced QR
-    of [U, Xi] (n-by-min(n, 2p), orthonormal whatever the rank), both
-    curves are F times the same curves at F.T U, and the retractions
-    commute with F. So the QR and the products with F.T are the only
-    n-sized work; the geodesic is factored once and each t costs
-    2p-by-p work.
+    F is n-by-min(n, 2p) and orthonormal whatever the rank of [U, Xi]. Its
+    span holds the geodesic t -> Exp_beta(t xi) for every beta, U1 =
+    Exp(xi) and every inverse retraction of (U, U1). The maps commute
+    with F: R(F eta) = F R(eta) for each retraction R and R^-1(F V0, F V1)
+    = F R^-1(V0, V1) for each inverse, as each multiplies its n-by-p
+    arguments by p-by-p matrices and decomposes only their p-by-p Gram
+    and cross products. F.T keeps Frobenius norms, so deviations in the
+    frame are those of the full-size curves up to roundoff, and the QR and
+    the products with F.T are an experiment's only n-sized work.
     """
     F = np.linalg.qr(np.hstack([xi.base.U, xi.Xi]))[0]
-    base = StiefelPoint(F.T @ xi.base.U)
-    geodesic = _geodesic(TangentVector(base, F.T @ xi.Xi), beta)
-    coords = {kind: TangentVector(base, F.T @ x.Xi) for kind, x in curves.items()}
-    out = []
+    return F, TangentVector(StiefelPoint(F.T @ xi.base.U), F.T @ xi.Xi)
+
+
+def _deviations(
+    x: TangentVector,
+    betas: Sequence[float],
+    curves: dict[str, TangentVector],
+    ts,
+) -> dict[tuple[str, float], list[float]]:
+    """||Exp_beta(t x) - R_kind(t x_kind)||_F over ts, per (kind, beta), beta outermost.
+
+    x and every curve tangent are frame coordinates from _frame. Each
+    geodesic is factored once, and each retraction curve is evaluated
+    once per t and compared with every geodesic.
+    """
+    geodesics = {beta: _geodesic(x, beta) for beta in betas}
+    out: dict[tuple[str, float], list[float]] = {
+        (kind, beta): [] for beta in betas for kind in curves}
     for t in ts:
-        geo = geodesic(t)
-        out.append({kind: float(np.linalg.norm(geo - RETRACTION_PAIRS[kind][0](x.scaled(t)).U))
-                    for kind, x in coords.items()})
+        points = {kind: RETRACTION_PAIRS[kind][0](c.scaled(t)).U for kind, c in curves.items()}
+        for beta, geodesic in geodesics.items():
+            geo = geodesic(t)
+            for kind, Y in points.items():
+                out[kind, beta].append(float(np.linalg.norm(geo - Y)))
     return out
 
 
@@ -122,12 +146,19 @@ def error_curve(
     kinds: tuple[str, ...],
     steps: int = DEFAULT_STEPS,
 ) -> list[ErrorCurveRecord]:
-    """Per-step deviations between the geodesic and each retraction curve."""
+    """Per-step deviations between the geodesic and each retraction curve.
+
+    U1 is pulled back in the frame of _frame: each inverse runs on
+    (F.T U0, F.T U1).
+    """
     U0, xi, U1 = triple
-    xi_r = {k: RETRACTION_PAIRS[k][1](U0, U1) for k in kinds}
+    F, x = _frame(xi)
+    V1 = StiefelPoint(F.T @ U1.U)
+    curves = {kind: RETRACTION_PAIRS[kind][1](x.base, V1) for kind in kinds}
     ts = [k / (steps - 1) for k in range(steps)]
-    return [ErrorCurveRecord(t, errs)
-            for t, errs in zip(ts, _deviations(xi, BETA_EUCLIDEAN, xi_r, ts))]
+    devs = _deviations(x, (BETA_EUCLIDEAN,), curves, ts)
+    return [ErrorCurveRecord(t, {kind: devs[kind, BETA_EUCLIDEAN][i] for kind in kinds})
+            for i, t in enumerate(ts)]
 
 
 def max_errors(records: list[ErrorCurveRecord]) -> dict[str, float]:
@@ -138,23 +169,34 @@ def max_errors(records: list[ErrorCurveRecord]) -> dict[str, float]:
     return out
 
 
-def convergence_slopes(xi: TangentVector, kinds: tuple[str, ...], beta: float) -> dict[str, float]:
-    """Least-squares slope of log error vs log t against Exp under the beta metric, per kind.
+def convergence_slopes(
+    xi: TangentVector,
+    kinds: tuple[str, ...],
+    betas: float | Sequence[float],
+) -> dict:
+    """Least-squares slope of log error vs log t against Exp_beta, per kind and beta.
 
-    The slopes depend only on xi's direction, so the fit runs on xi scaled
-    to unit norm, at t = _ORDER_T_GRID: step lengths from 1e-3 to 1e-1.
-    xi is first divided by its largest entry, as ||xi||_F squares them
-    and reads 0 below about 1e-154.
+    betas is one beta, giving {kind: slope}, or a sequence of them, giving
+    {(kind, beta): slope} with beta outermost. All fits share one frame
+    and one retraction curve per kind; each beta adds one geodesic.
+    The slopes depend only on xi's direction, so the fit runs on xi
+    scaled to unit norm, at t = _ORDER_T_GRID: step lengths from 1e-3 to
+    1e-1. xi is first divided by its largest entry, as ||xi||_F squares
+    them and reads 0 below about 1e-154.
     """
     big = np.max(np.abs(xi.Xi))
     if big == 0:
         raise ValidationError("convergence_slopes: tangent is zero, so it has no step length")
     X = xi.Xi / big
-    unit = TangentVector(xi.base, X / np.linalg.norm(X))
-    devs = _deviations(unit, beta, {kind: unit for kind in kinds}, _ORDER_T_GRID)
+    several = np.ndim(betas) > 0
+    x = _frame(TangentVector(xi.base, X / np.linalg.norm(X)))[1]
+    devs = _deviations(x, tuple(betas) if several else (betas,),
+                       dict.fromkeys(kinds, x), _ORDER_T_GRID)
     log_t = np.log(_ORDER_T_GRID)
-    return {kind: float(np.polyfit(log_t, np.log([d[kind] for d in devs]), 1)[0])
-            for kind in kinds}
+    slopes = {key: float(np.polyfit(log_t, np.log(d), 1)[0]) for key, d in devs.items()}
+    if several:
+        return slopes
+    return {kind: slope for (kind, _), slope in slopes.items()}
 
 
 def convergence_slope(xi: TangentVector, kind: str, beta: float) -> float:

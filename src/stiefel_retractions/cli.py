@@ -76,12 +76,11 @@ def _run_curve(cfg: ExperimentConfig):
 
 
 def _run_order(cfg: ExperimentConfig):
-    xi = gen_tangent(cfg)
-    slopes = {(kind, BETA_EUCLIDEAN): slope
-              for kind, slope in convergence_slopes(xi, cfg.kinds, BETA_EUCLIDEAN).items()}
-    if "pl" in cfg.kinds:
-        slopes[("pl", BETA_CANONICAL)] = convergence_slopes(xi, ("pl",), BETA_CANONICAL)["pl"]
-    return slopes
+    """Every kind's slope against the Euclidean geodesic, and pl's against the canonical one."""
+    betas = (BETA_EUCLIDEAN, BETA_CANONICAL) if "pl" in cfg.kinds else (BETA_EUCLIDEAN,)
+    slopes = convergence_slopes(gen_tangent(cfg), cfg.kinds, betas)
+    return {(kind, beta): slope for (kind, beta), slope in slopes.items()
+            if beta == BETA_EUCLIDEAN or kind == "pl"}
 
 
 def main(argv=None) -> int:

@@ -226,8 +226,9 @@ def _geodesic(xi: TangentVector, beta: float) -> Callable[[float], np.ndarray]:
     With A = U.T Xi, the thin QR Q R = Xi - U A and the skew 2p-by-2p
     L = [[2 beta A, -R.T], [R, 0]], Exp_beta(t xi) = [U Q] exp(t L)[:, :p]
     exp(t (1 - 2 beta) A) (Edelman, Arias & Smith, 1998). Both flows are
-    factored once; each t then costs products of p- and 2p-sized matrices
-    and one n-by-2p times 2p-by-p product.
+    factored once, the second only when 1 - 2 beta is not 0; each t then
+    costs products of p- and 2p-sized matrices and one n-by-2p times
+    2p-by-p product.
     """
     _check_beta(beta)
     U = xi.base.U
@@ -236,5 +237,7 @@ def _geodesic(xi: TangentVector, beta: float) -> Callable[[float], np.ndarray]:
     Q, R = np.linalg.qr(xi.Xi - U @ A)
     basis = np.hstack([U, Q])
     head = _skew_flow(np.block([[2.0 * beta * A, -R.T], [R, np.zeros((p, p))]]), p)
+    if 1.0 - 2.0 * beta == 0.0:  # the canonical metric: the twist flow is exactly I
+        return lambda t: basis @ head(t)
     twist = _skew_flow((1.0 - 2.0 * beta) * A, p)
     return lambda t: basis @ (head(t) @ twist(t))

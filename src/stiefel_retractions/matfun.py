@@ -18,6 +18,7 @@ _norm_bound. _inv is the only direct LAPACK call.
 
 from __future__ import annotations
 
+import bisect
 import contextvars
 from typing import Callable
 
@@ -108,6 +109,32 @@ _THETA_OVER_SIN_COEFFS = np.convolve(_B / (2 * np.arange(_B.size) + 1), _B)[: _B
 _EXP_COEFFS = (-1.0) ** (np.arange(_B.size) // 2) / np.cumprod(np.r_[1.0, np.arange(1, _B.size)])
 
 
+def _degree_limits(coeffs: np.ndarray) -> list[float]:
+    """Per degree m, the largest r in [0, 1] with |c[m+1]| r^(m+1) <= 2^-54 (1 - r), by bisection.
+
+    The limits do not decrease with m, as |c_k| does not grow.
+    """
+    limits = []
+    for k in range(1, coeffs.size):
+        c, lo, hi = abs(float(coeffs[k])), 0.0, 1.0
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (mid, hi) if c * mid**k <= 2.0**-54 * (1.0 - mid) else (lo, mid)
+        limits.append(lo)
+    return limits
+
+
+# _sym_series's degree table, per coefficient set by identity.
+_DEGREE_LIMITS = {id(c): _degree_limits(c)
+                  for c in (_INVSQRT_COEFFS, _THETA_OVER_SIN_COEFFS, _EXP_COEFFS)}
+
+
+def _series_degree(coeffs: np.ndarray, rho: float) -> int | None:
+    """The least m whose tail bound holds at r = rho, or None above _SERIES_DEGREE."""
+    limits = _DEGREE_LIMITS[id(coeffs)]
+    m = bisect.bisect_left(limits, rho)
+    return m if m < len(limits) else None
+
+
 def _norm_bound(X: np.ndarray, accept: Callable[[float], bool]) -> tuple[np.ndarray, float] | None:
     """(X @ X.T, rho) with rho = sqrt(||X X.T||_1) >= ||X||_2 and accept(rho), or None.
 
@@ -128,8 +155,10 @@ def _sym_series(X: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, float, i
     X^k stands for Y^(k // 2) X^(k % 2), Y = X X.T, which is X^2 for a
     symmetric X and -X^2 for a skew one. |c_k| must not grow: the degree m
     is then the least with a tail bound |c[m+1]| r^(m+1) / (1 - r) <= eps/4
-    = 2^-54 at r >= ||X||_2. None means m > _SERIES_DEGREE at r = rho =
-    sqrt(||Y||_1), from _norm_bound, whose Y the sum reuses. Horner's rule
+    = 2^-54 at r >= ||X||_2, looked up by _series_degree in a table made at
+    import; coeffs must be one of this module's coefficient sets. None
+    means m > _SERIES_DEGREE at r = rho = sqrt(||Y||_1), from _norm_bound,
+    whose Y the sum reuses. Horner's rule
     over chunks of s powers (Paterson & Stockmeyer, 1973) then takes
     ceil((m + 1)/s) - 1 products, one fewer when the top chunk is c_m I
     alone: in Z = Y over the pairs c_2j I + c_2j+1 X (s = 2) or, once m is
@@ -138,22 +167,15 @@ def _sym_series(X: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, float, i
     Y^2 also gives rho_2 = ||Y^2||_1^(1/4) >= ||X||_2, and m is then taken
     at r = min(rho, rho_2).
     """
-
-    def degree(rho: float) -> int | None:  # the least m whose tail bound holds
-        r = min(rho, 1.0)
-        tail = np.abs(coeffs[1:]) * r ** np.arange(1, coeffs.size)
-        fits = np.flatnonzero(tail <= 2.0**-54 * (1.0 - r))
-        return int(fits[0]) if fits.size else None
-
-    bound = _norm_bound(X, lambda rho: degree(rho) is not None)
+    bound = _norm_bound(X, lambda rho: _series_degree(coeffs, rho) is not None)
     if bound is None:
         return None
     Y, rho = bound
-    p, m = X.shape[0], degree(rho)
+    p, m = X.shape[0], _series_degree(coeffs, rho)
     s, Z, powers = 2, Y, (X,)
     if m >= 8:  # below, at p = 400, the syrk costs more than the chunks save
         Z = Y @ Y.T
-        m = degree(min(rho, float(np.linalg.norm(Z, 1)) ** 0.25))
+        m = _series_degree(coeffs, min(rho, float(np.linalg.norm(Z, 1)) ** 0.25))
         s, powers = 4, (X, Y, Y @ X)
 
     def add_chunk(R: np.ndarray, k: int, stop: int) -> None:  # R += c_j X^(j-k), k <= j < stop

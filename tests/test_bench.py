@@ -78,6 +78,10 @@ class TestConfig:
         with pytest.raises(ValidationError):
             ExperimentConfig(n=10, p=2, kinds=("qr",))
 
+    def test_rejects_repeated_kind(self):
+        with pytest.raises(ValidationError, match=r"kinds must not repeat, got \['pf'\]"):
+            ExperimentConfig(n=10, p=2, kinds=("pf", "pl", "pf"))
+
     def test_rejects_empty_kinds(self):
         with pytest.raises(ValidationError, match="kinds must name at least one"):
             ExperimentConfig(n=10, p=2, kinds=())
@@ -202,6 +206,16 @@ class TestFrame:
             slopes = convergence_slopes(xi, KINDS, beta)
             assert list(slopes) == list(KINDS)
             assert slopes == {kind: convergence_slope(xi, kind, beta) for kind in KINDS}
+
+    def test_several_betas_match_one_beta_each(self):
+        # one frame and one retraction curve per kind serve every beta, bit for bit
+        _, xi, _ = gen_triple(ExperimentConfig(**SMALL))
+        betas = (BETA_EUCLIDEAN, BETA_CANONICAL)
+        slopes = convergence_slopes(xi, KINDS, betas)
+        assert list(slopes) == [(kind, beta) for beta in betas for kind in KINDS]
+        for beta in betas:
+            assert convergence_slopes(xi, KINDS, beta) == {
+                kind: slopes[kind, beta] for kind in KINDS}
 
     def test_rejects_non_tangent(self):
         U0 = rand_point(20, 4, 0)

@@ -5,6 +5,7 @@ import pytest
 
 from stiefel_retractions import bench, cli
 from stiefel_retractions.cli import main
+from stiefel_retractions.core import BETA_CANONICAL, BETA_EUCLIDEAN
 
 SMALL_ARGS = ["--n", "40", "--p", "8", "--steps", "11", "--seed", "3"]
 
@@ -74,8 +75,9 @@ def test_invalid_dims_exit_nonzero(tmp_path):
     ("curve", ["--n", "30", "--p", "3", "--seed", "-1"], "seed must be >= 0"),
     ("order", ["--n", "30", "--p", "3", "--dist", "0"], "convergence_slopes: tangent is zero"),
     ("all", ["--n", "30", "--p", "3", "--dist", "0"], "convergence_slopes: tangent is zero"),
+    ("all", ["--n", "30", "--p", "3", "--kinds", "pf,pf,pl"], "kinds must not repeat"),
 ], ids=["p0", "repeats0", "dist_nan", "kinds_comma", "kinds_empty", "n1_p1", "seed_negative",
-        "order_dist0", "all_dist0"])
+        "order_dist0", "all_dist0", "kinds_repeated"])
 def test_invalid_sizes_exit_one(tmp_path, capsys, monkeypatch, command, args, message):
     monkeypatch.setattr(cli, "error_curve", lambda *args: pytest.fail("curve ran before refusal"))
     assert main([command, *args, "--out", str(tmp_path / "x")]) == 1
@@ -85,7 +87,7 @@ def test_invalid_sizes_exit_one(tmp_path, capsys, monkeypatch, command, args, me
 
 def test_order_factors_each_geodesic_once(tmp_path, monkeypatch):
     # one frame and one geodesic factorization per beta, shared by all kinds
-    calls = {"_deviations": 0, "_geodesic": 0}
+    calls = {"_frame": 0, "_geodesic": 0}
     for name in calls:
         def counted(*args, _fn=getattr(bench, name), _name=name):
             calls[_name] += 1
@@ -93,7 +95,7 @@ def test_order_factors_each_geodesic_once(tmp_path, monkeypatch):
         monkeypatch.setattr(bench, name, counted)
     assert main(["order", *SMALL_ARGS, "--kinds", "pf,pl,pl_cayley",
                  "--out", str(tmp_path / "run")]) == 0
-    assert calls == {"_deviations": 2, "_geodesic": 2}
+    assert calls == {"_frame": 1, "_geodesic": 2}
 
 
 @pytest.mark.parametrize("out", ["file", "file/run"])
@@ -110,9 +112,24 @@ def test_order_computes_no_geodesic_endpoint(tmp_path, monkeypatch):
     geodesics, tangents = [], []
     monkeypatch.setattr(bench, "exp_beta", lambda *args: geodesics.append(args))
     monkeypatch.setattr(cli, "convergence_slopes",
-                        lambda x, kinds, beta: tangents.append(x) or dict.fromkeys(kinds, 1.0))
+                        lambda x, kinds, betas: tangents.append(x)
+                        or {(kind, beta): 1.0 for beta in betas for kind in kinds})
     assert main(["order", *SMALL_ARGS, "--kinds", "pf,pl", "--out", str(tmp_path / "run")]) == 0
     assert geodesics == []
-    assert len(tangents) == 2
+    assert len(tangents) == 1
     for x in tangents:
         assert np.array_equal(x.base.U, xi.base.U) and np.array_equal(x.Xi, xi.Xi)
+
+
+def test_order_rows_match_one_beta_fits(tmp_path):
+    # the single multi-beta fit gives, bit for bit, the slopes of one fit per (kind, beta)
+    out = tmp_path / "run"
+    assert main(["order", *SMALL_ARGS, "--kinds", "pf,pl,pl_cayley", "--out", str(out)]) == 0
+    with open(out / "order.csv") as f:
+        rows = [(r["kind"], float(r["beta"]), float(r["slope"])) for r in csv.DictReader(f)]
+    xi = bench.gen_tangent(bench.ExperimentConfig(n=40, p=8, seed=3))
+    assert [row[:2] for row in rows] == [
+        ("pf", BETA_EUCLIDEAN), ("pl", BETA_EUCLIDEAN), ("pl_cayley", BETA_EUCLIDEAN),
+        ("pl", BETA_CANONICAL)]
+    for kind, beta, slope in rows:
+        assert slope == bench.convergence_slope(xi, kind, beta)

@@ -301,6 +301,17 @@ class TestSeriesRoute:
         assert np.all(np.diff(np.abs(coeffs)) <= 0)
         assert limits[0] < series_limit(coeffs) < limits[1]
 
+    @pytest.mark.parametrize(
+        "coeffs", [matfun._INVSQRT_COEFFS, matfun._THETA_OVER_SIN_COEFFS, matfun._EXP_COEFFS],
+        ids=["invsqrt", "phi", "exp"],
+    )
+    def test_degree_table_matches_tail_bound(self, coeffs):
+        # on a grid over [0, 1.2] and just either side of each degree's limit
+        limits = [series_limit(coeffs, m) for m in range(matfun._SERIES_DEGREE + 1)]
+        rs = [*np.linspace(0.0, 1.2, 601), *(r * (1.0 + s * 1e-9) for r in limits for s in (-1, 1))]
+        for r in rs:
+            assert matfun._series_degree(coeffs, r) == series_degree(coeffs, r), r
+
     @pytest.mark.parametrize("m", range(matfun._SERIES_DEGREE + 1))
     @pytest.mark.parametrize("shape", ["symmetric", "skew"])
     @pytest.mark.parametrize(
