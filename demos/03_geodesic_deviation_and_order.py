@@ -17,7 +17,6 @@ import numpy as np
 from stiefel_retractions import BETA_CANONICAL, BETA_EUCLIDEAN
 from stiefel_retractions.bench import (
     ExperimentConfig,
-    convergence_slope,
     convergence_slopes,
     error_curve,
     gen_triple,
@@ -40,7 +39,7 @@ for rec in records[:: len(records) // 10]:
 
 _, xi, _ = gen_triple(ExperimentConfig(n=100, p=20, seed=1, kinds=cfg.kinds))
 print("\nconvergence order vs Exp (log-log slope over step lengths t|xi| in [1e-3, 1e-1]):")
-for kind, s in convergence_slopes(xi, cfg.kinds, BETA_EUCLIDEAN).items():
-    print(f"  {kind:10s} beta=1   slope {s:.3f}  (second order)")
-s = convergence_slope(xi, "pl", BETA_CANONICAL)
-print(f"  {'pl':10s} beta=1/2 slope {s:.3f}  (first order only)")
+rows = [*((kind, BETA_EUCLIDEAN) for kind in cfg.kinds), ("pl", BETA_CANONICAL)]
+for (kind, beta), s in convergence_slopes(xi, rows).items():
+    order = "second order" if beta == BETA_EUCLIDEAN else "first order only"
+    print(f"  {kind:10s} beta={beta:<4g} slope {s:.3f}  ({order})")

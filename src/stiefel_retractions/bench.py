@@ -6,19 +6,19 @@ pulls U1 back through each inverse retraction to get xi_R, and records
 the Frobenius deviation between the geodesic t -> Exp(t xi) and the
 retraction curve t -> R(t xi_R) on an equidistant grid in [0, 1]. The
 order experiment fits log deviation against log t for small t, per
-retraction and per metric parameter beta.
+(kind, beta) row: a retraction and the metric parameter of its geodesic.
 
 Each experiment works in one 2p-dimensional frame F = qr([U0, xi]) that
-holds both curves: the inverses run on (F.T U0, F.T U1), every beta's
-geodesic is compared with one retraction curve per kind, and the QR and
-the products with F.T are its only n-sized work.
+holds both curves: the inverses run on (F.T U0, F.T U1), each beta's
+geodesic and each kind's retraction curve are evaluated once per t, and
+the QR and the products with F.T are its only n-sized work.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -57,22 +57,27 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_sizes(self.n, self.p)
-        if self.steps < 2:
-            raise ValidationError("steps must be >= 2")
+        _check_experiment(self.kinds, self.steps)
         if self.repeats < 1:
             raise ValidationError("repeats must be >= 1")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not (np.isfinite(self.distance) and self.distance >= 0):
             raise ValidationError(f"distance must be finite and nonnegative, got {self.distance}")
-        if not self.kinds:
-            raise ValidationError("kinds must name at least one retraction")
-        unknown = [k for k in self.kinds if k not in RETRACTION_PAIRS]
-        if unknown:
-            raise ValidationError(f"unknown retraction kinds: {unknown}")
-        repeated = sorted({k for k in self.kinds if self.kinds.count(k) > 1})
-        if repeated:
-            raise ValidationError(f"kinds must not repeat, got {repeated} more than once")
+
+
+def _check_experiment(kinds: Sequence[str], steps: int = DEFAULT_STEPS) -> None:
+    """Raise ValidationError unless kinds name distinct retractions and steps >= 2."""
+    if steps < 2:
+        raise ValidationError("steps must be >= 2")
+    if not kinds:
+        raise ValidationError("kinds must name at least one retraction")
+    unknown = [k for k in kinds if k not in RETRACTION_PAIRS]
+    if unknown:
+        raise ValidationError(f"unknown retraction kinds: {unknown}")
+    repeated = sorted({k for k in kinds if kinds.count(k) > 1})
+    if repeated:
+        raise ValidationError(f"kinds must not repeat, got {repeated} more than once")
 
 
 @dataclass
@@ -117,27 +122,21 @@ def _frame(xi: TangentVector) -> tuple[np.ndarray, TangentVector]:
     return F, TangentVector(StiefelPoint(F.T @ xi.base.U), F.T @ xi.Xi)
 
 
-def _deviations(
-    x: TangentVector,
-    betas: Sequence[float],
-    curves: dict[str, TangentVector],
-    ts,
-) -> dict[tuple[str, float], list[float]]:
-    """||Exp_beta(t x) - R_kind(t x_kind)||_F over ts, per (kind, beta), beta outermost.
+def _deviations(x: TangentVector, rows: list[tuple[str, float]],
+                curves: dict[str, TangentVector], ts) -> dict[tuple[str, float], list[float]]:
+    """||Exp_beta(t x) - R_kind(t curves[kind])||_F over ts, per (kind, beta) row, in row order.
 
     x and every curve tangent are frame coordinates from _frame. Each
-    geodesic is factored once, and each retraction curve is evaluated
-    once per t and compared with every geodesic.
+    distinct beta's geodesic is factored once, and at each t each curve is
+    evaluated once.
     """
-    geodesics = {beta: _geodesic(x, beta) for beta in betas}
-    out: dict[tuple[str, float], list[float]] = {
-        (kind, beta): [] for beta in betas for kind in curves}
+    geodesics = {beta: _geodesic(x, beta) for beta in dict.fromkeys(beta for _, beta in rows)}
+    out: dict[tuple[str, float], list[float]] = {row: [] for row in rows}
     for t in ts:
         points = {kind: RETRACTION_PAIRS[kind][0](c.scaled(t)).U for kind, c in curves.items()}
-        for beta, geodesic in geodesics.items():
-            geo = geodesic(t)
-            for kind, Y in points.items():
-                out[kind, beta].append(float(np.linalg.norm(geo - Y)))
+        geos = {beta: geodesic(t) for beta, geodesic in geodesics.items()}
+        for kind, beta in rows:
+            out[kind, beta].append(float(np.linalg.norm(geos[beta] - points[kind])))
     return out
 
 
@@ -151,12 +150,13 @@ def error_curve(
     U1 is pulled back in the frame of _frame: each inverse runs on
     (F.T U0, F.T U1).
     """
+    _check_experiment(kinds, steps)
     U0, xi, U1 = triple
     F, x = _frame(xi)
     V1 = StiefelPoint(F.T @ U1.U)
     curves = {kind: RETRACTION_PAIRS[kind][1](x.base, V1) for kind in kinds}
     ts = [k / (steps - 1) for k in range(steps)]
-    devs = _deviations(x, (BETA_EUCLIDEAN,), curves, ts)
+    devs = _deviations(x, [(kind, BETA_EUCLIDEAN) for kind in kinds], curves, ts)
     return [ErrorCurveRecord(t, {kind: devs[kind, BETA_EUCLIDEAN][i] for kind in kinds})
             for i, t in enumerate(ts)]
 
@@ -171,37 +171,35 @@ def max_errors(records: list[ErrorCurveRecord]) -> dict[str, float]:
 
 def convergence_slopes(
     xi: TangentVector,
-    kinds: tuple[str, ...],
-    betas: float | Sequence[float],
-) -> dict:
-    """Least-squares slope of log error vs log t against Exp_beta, per kind and beta.
+    rows: Iterable[tuple[str, float]],
+) -> dict[tuple[str, float], float]:
+    """{(kind, beta): slope of log ||Exp_beta(t xi) - R_kind(t xi)||_F vs log t}, in row order.
 
-    betas is one beta, giving {kind: slope}, or a sequence of them, giving
-    {(kind, beta): slope} with beta outermost. All fits share one frame
-    and one retraction curve per kind; each beta adds one geodesic.
-    The slopes depend only on xi's direction, so the fit runs on xi
-    scaled to unit norm, at t = _ORDER_T_GRID: step lengths from 1e-3 to
-    1e-1. xi is first divided by its largest entry, as ||xi||_F squares
-    them and reads 0 below about 1e-154.
+    rows are distinct (kind, beta) pairs, read once. All fits share one frame,
+    one retraction curve per kind and one geodesic per beta. The slopes depend
+    only on xi's direction, so the fit runs on xi scaled to unit norm, at t =
+    _ORDER_T_GRID: step lengths from 1e-3 to 1e-1. xi is first divided by its
+    largest entry, as ||xi||_F squares them and reads 0 below about 1e-154.
     """
+    rows = [(kind, beta) for kind, beta in rows]
+    repeated = sorted({row for row in rows if rows.count(row) > 1})
+    if repeated:
+        raise ValidationError(f"rows must not repeat, got {repeated} more than once")
+    kinds = dict.fromkeys(kind for kind, _ in rows)
+    _check_experiment(list(kinds))
     big = np.max(np.abs(xi.Xi))
     if big == 0:
         raise ValidationError("convergence_slopes: tangent is zero, so it has no step length")
     X = xi.Xi / big
-    several = np.ndim(betas) > 0
     x = _frame(TangentVector(xi.base, X / np.linalg.norm(X)))[1]
-    devs = _deviations(x, tuple(betas) if several else (betas,),
-                       dict.fromkeys(kinds, x), _ORDER_T_GRID)
+    devs = _deviations(x, rows, dict.fromkeys(kinds, x), _ORDER_T_GRID)
     log_t = np.log(_ORDER_T_GRID)
-    slopes = {key: float(np.polyfit(log_t, np.log(d), 1)[0]) for key, d in devs.items()}
-    if several:
-        return slopes
-    return {kind: slope for (kind, _), slope in slopes.items()}
+    return {row: float(np.polyfit(log_t, np.log(d), 1)[0]) for row, d in devs.items()}
 
 
 def convergence_slope(xi: TangentVector, kind: str, beta: float) -> float:
-    """convergence_slopes for one kind."""
-    return convergence_slopes(xi, (kind,), beta)[kind]
+    """convergence_slopes for the one row (kind, beta)."""
+    return convergence_slopes(xi, [(kind, beta)])[kind, beta]
 
 
 def timing_run(cfg: ExperimentConfig, kind: str) -> TimingRecord:
@@ -212,6 +210,7 @@ def timing_run(cfg: ExperimentConfig, kind: str) -> TimingRecord:
     ||R^{-1}(R(xi)) - xi||_F is recorded alongside. Warmup runs are
     excluded from the statistics.
     """
+    _check_experiment((kind,))
     ret, inv = RETRACTION_PAIRS[kind]
     rng = np.random.default_rng(cfg.seed)
 

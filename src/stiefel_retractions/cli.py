@@ -77,10 +77,10 @@ def _run_curve(cfg: ExperimentConfig):
 
 def _run_order(cfg: ExperimentConfig):
     """Every kind's slope against the Euclidean geodesic, and pl's against the canonical one."""
-    betas = (BETA_EUCLIDEAN, BETA_CANONICAL) if "pl" in cfg.kinds else (BETA_EUCLIDEAN,)
-    slopes = convergence_slopes(gen_tangent(cfg), cfg.kinds, betas)
-    return {(kind, beta): slope for (kind, beta), slope in slopes.items()
-            if beta == BETA_EUCLIDEAN or kind == "pl"}
+    rows = [(kind, BETA_EUCLIDEAN) for kind in cfg.kinds]
+    if "pl" in cfg.kinds:
+        rows.append(("pl", BETA_CANONICAL))
+    return convergence_slopes(gen_tangent(cfg), rows)
 
 
 def main(argv=None) -> int:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import bisect
 import contextvars
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -135,18 +134,17 @@ def _series_degree(coeffs: np.ndarray, rho: float) -> int | None:
     return m if m < len(limits) else None
 
 
-def _norm_bound(X: np.ndarray, accept: Callable[[float], bool]) -> tuple[np.ndarray, float] | None:
-    """(X @ X.T, rho) with rho = sqrt(||X X.T||_1) >= ||X||_2 and accept(rho), or None.
+def _norm_bound(X: np.ndarray, limit: float) -> tuple[np.ndarray, float] | None:
+    """(X @ X.T, rho) with rho = sqrt(||X X.T||_1) >= ||X||_2 and rho <= limit, or None.
 
-    accept must hold up to some limit and fail above it. ||X||_2 is at
-    least the largest column norm, which refuses most X above the limit
-    without a product; X @ X.T is one BLAS syrk.
+    ||X||_2 is at least the largest column norm, which refuses most X above
+    the limit without a product; X @ X.T is one BLAS syrk.
     """
-    if not accept(float(np.sqrt(np.max(np.einsum("ij,ij->j", X, X))))):
+    if np.sqrt(np.max(np.einsum("ij,ij->j", X, X))) > limit:
         return None
     XXt = X @ X.T
     rho = float(np.sqrt(np.linalg.norm(XXt, 1)))
-    return (XXt, rho) if accept(rho) else None
+    return (XXt, rho) if rho <= limit else None
 
 
 def _sym_series(X: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, float, int] | None:
@@ -167,7 +165,7 @@ def _sym_series(X: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, float, i
     Y^2 also gives rho_2 = ||Y^2||_1^(1/4) >= ||X||_2, and m is then taken
     at r = min(rho, rho_2).
     """
-    bound = _norm_bound(X, lambda rho: _series_degree(coeffs, rho) is not None)
+    bound = _norm_bound(X, _DEGREE_LIMITS[id(coeffs)][-1])
     if bound is None:
         return None
     Y, rho = bound
@@ -374,10 +372,11 @@ def _smith_doubling(C: np.ndarray) -> np.ndarray | None:
     the equation is the Stein equation X - A X A.T = 4 G G.T, whose
     solution X_inf is sum_j A^j 4 G G.T A.T^j (Smith, 1968; Penzl, 2000).
     Before any LU, _norm_bound gives d >= ||D||_2, D = I - C, most often
-    from a column norm alone, and C is taken only when d / (2 - d) <
-    _SMITH_CAP. As A = D (2 I - D)^-1, that bounds ||A||_2 below the cap,
-    which proves C positive stable, X SPD (X >= 4 G G.T > 0) and ||X||_2,
-    ||C||_2 < 1.86, far inside solve_pf_sylvester's rounding check; and
+    from a column norm alone, and C is taken only when d / (2 - d) <=
+    _SMITH_CAP, equality included. As A = D (2 I - D)^-1, that bounds
+    ||A||_2 by the cap, which proves C positive stable, X SPD
+    (X >= 4 G G.T > 0) and ||X||_2, ||C||_2 < 1.86, far inside
+    solve_pf_sylvester's rounding check; and
     sigma_min(I + C) >= 2 - d > 1.5, so the LU cannot be singular. Doubling
     i, X <- X + A_i X A_i.T with A_i = A^(2^i), leaves a tail A_(i+1) X_inf
     A_(i+1).T of norm at most ||A_i||_F^4 ||X_inf||, so the sum stops once
@@ -386,7 +385,7 @@ def _smith_doubling(C: np.ndarray) -> np.ndarray | None:
     p = C.shape[0]
     D = -C
     D.flat[:: p + 1] += 1.0
-    if _norm_bound(D, lambda d: d < 2.0 * _SMITH_CAP / (1.0 + _SMITH_CAP)) is None:
+    if _norm_bound(D, 2.0 * _SMITH_CAP / (1.0 + _SMITH_CAP)) is None:
         return None
     _note("solve_pf_sylvester", "smith")
     G = _inv(np.eye(p) + C, "I + C is singular")

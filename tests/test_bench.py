@@ -28,6 +28,9 @@ from test_core import exp_beta_full_completion
 
 SMALL = dict(n=40, p=8, seed=3, steps=11)
 KINDS = ("pf", "pl", "pl_cayley")
+# The rows stiefel-bench order reports: every kind at beta = 1, and pl at beta = 1/2.
+ORDER_ROWS = [*((kind, BETA_EUCLIDEAN) for kind in KINDS), ("pl", BETA_CANONICAL)]
+UNKNOWN_QR = r"unknown retraction kinds: \['qr'\]"
 # error_curve and convergence_slope work in a 2p-dimensional frame, which
 # changes only their rounding: against the full-size reference below the
 # deviations differ by at most ~1.2e-14 and the slopes by ~1.2e-6.
@@ -100,6 +103,24 @@ class TestConfig:
         with pytest.raises(ValidationError, match="distance"):
             ExperimentConfig(n=10, p=2, distance=distance)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda tr: error_curve(tr, KINDS, 1), "steps must be >= 2"),
+        (lambda tr: error_curve(tr, KINDS, 0), "steps must be >= 2"),
+        (lambda tr: error_curve(tr, ("qr",)), UNKNOWN_QR),
+        (lambda tr: convergence_slopes(tr[1], [("pf", 1.0), ("qr", 1.0)]), UNKNOWN_QR),
+        (lambda tr: convergence_slope(tr[1], "qr", BETA_EUCLIDEAN), UNKNOWN_QR),
+        (lambda tr: timing_run(ExperimentConfig(n=30, p=5, repeats=1), "qr"), UNKNOWN_QR),
+        (lambda tr: convergence_slopes(tr[1], []), "kinds must name at least one"),
+        (lambda tr: convergence_slopes(tr[1], [("pl", 1.0), ("pl", 0.5), ("pl", 1.0)]),
+         r"rows must not repeat, got \[\('pl', 1.0\)\]"),
+    ], ids=["curve_steps1", "curve_steps0", "curve_kind", "slopes_kind", "slope_kind",
+            "timing_kind", "rows_empty", "rows_repeated"])
+    def test_harness_functions_hold_its_rules(self, call, message):
+        # error_curve, convergence_slopes, convergence_slope and timing_run
+        # refuse what ExperimentConfig refuses, with its messages
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            call(gen_triple(ExperimentConfig(**SMALL)))
+
 
 class TestGenTriple:
     def test_zero_distance(self):
@@ -153,14 +174,13 @@ class TestConvergenceSlope:
         # also where ||xi||_F, which squares the entries, would read 0 or
         # the geodesic's eigh would meet subnormal input
         xi = gen_tangent(ExperimentConfig(**SMALL, distance=distance))
-        for beta, kinds, order in ((BETA_EUCLIDEAN, KINDS, 3.0), (BETA_CANONICAL, ("pl",), 2.0)):
-            for slope in convergence_slopes(xi, kinds, beta).values():
-                assert abs(slope - order) <= 0.3
+        for (_, beta), slope in convergence_slopes(xi, ORDER_ROWS).items():
+            assert abs(slope - (3.0 if beta == BETA_EUCLIDEAN else 2.0)) <= 0.3
 
     def test_rejects_zero_tangent(self):
         xi = gen_tangent(ExperimentConfig(**SMALL, distance=0.0))
         with pytest.raises(ValidationError, match="tangent is zero"):
-            convergence_slopes(xi, KINDS, BETA_EUCLIDEAN)
+            convergence_slopes(xi, ORDER_ROWS)
 
     @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
     def test_rejects_nonfinite_beta(self, beta):
@@ -168,7 +188,7 @@ class TestConvergenceSlope:
         with pytest.raises(ValidationError, match="beta must be positive and finite"):
             convergence_slope(xi, "pl", beta)
         with pytest.raises(ValidationError, match="beta must be positive and finite"):
-            convergence_slopes(xi, KINDS, beta)
+            convergence_slopes(xi, [(kind, beta) for kind in KINDS])
 
 
 class TestDeviationReference:
@@ -200,22 +220,16 @@ class TestFrame:
     def test_error_curve_zero_distance(self):
         assert_matches_reference(gen_triple(ExperimentConfig(n=20, p=4, distance=0.0)), KINDS, 5)
 
-    def test_convergence_slopes_match_single_kind(self):
-        _, xi, _ = gen_triple(ExperimentConfig(**SMALL))
-        for beta in (BETA_CANONICAL, BETA_EUCLIDEAN):
-            slopes = convergence_slopes(xi, KINDS, beta)
-            assert list(slopes) == list(KINDS)
-            assert slopes == {kind: convergence_slope(xi, kind, beta) for kind in KINDS}
-
     def test_several_betas_match_one_beta_each(self):
-        # one frame and one retraction curve per kind serve every beta, bit for bit
+        # one frame, one retraction curve per kind and one geodesic per beta
+        # serve every row, bit for bit, in row order; the rows are read once
         _, xi, _ = gen_triple(ExperimentConfig(**SMALL))
-        betas = (BETA_EUCLIDEAN, BETA_CANONICAL)
-        slopes = convergence_slopes(xi, KINDS, betas)
-        assert list(slopes) == [(kind, beta) for beta in betas for kind in KINDS]
-        for beta in betas:
-            assert convergence_slopes(xi, KINDS, beta) == {
-                kind: slopes[kind, beta] for kind in KINDS}
+        rows = [(kind, beta) for beta in (BETA_CANONICAL, BETA_EUCLIDEAN) for kind in KINDS]
+        for asked in (rows, ORDER_ROWS):
+            slopes = convergence_slopes(xi, iter(asked))
+            assert list(slopes) == asked
+            assert slopes == {(kind, beta): convergence_slope(xi, kind, beta)
+                              for kind, beta in asked}
 
     def test_rejects_non_tangent(self):
         U0 = rand_point(20, 4, 0)

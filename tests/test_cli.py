@@ -112,8 +112,7 @@ def test_order_computes_no_geodesic_endpoint(tmp_path, monkeypatch):
     geodesics, tangents = [], []
     monkeypatch.setattr(bench, "exp_beta", lambda *args: geodesics.append(args))
     monkeypatch.setattr(cli, "convergence_slopes",
-                        lambda x, kinds, betas: tangents.append(x)
-                        or {(kind, beta): 1.0 for beta in betas for kind in kinds})
+                        lambda x, rows: tangents.append(x) or dict.fromkeys(rows, 1.0))
     assert main(["order", *SMALL_ARGS, "--kinds", "pf,pl", "--out", str(tmp_path / "run")]) == 0
     assert geodesics == []
     assert len(tangents) == 1

@@ -144,11 +144,45 @@ SVD_ROUTE_PAIRS = [(s, 1) for s in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)] + [
 ]
 
 
-class TestPolarFactor:
+class RoundtripContracts:
+    """Contracts every retraction pair meets; each kind's class sets kind and runs them."""
+
+    kind: str
+
     def test_zero_tangent(self):
         U0 = rand_point(10, 3, 0)
-        out = pf_ret(TangentVector(U0, np.zeros((10, 3))))
+        out = RETRACTION_PAIRS[self.kind][0](TangentVector(U0, np.zeros((10, 3))))
         assert np.allclose(out.U, U0.U)
+
+    def test_inverse_at_base(self):
+        U0 = rand_point(12, 4, 3)
+        assert np.linalg.norm(RETRACTION_PAIRS[self.kind][1](U0, U0).Xi) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_roundtrip_both_ways(self, seed):
+        ret, inv = RETRACTION_PAIRS[self.kind]
+        n, p = 30, 6
+        U0 = rand_point(n, p, seed)
+        xi = rand_tangent(U0, np.pi / 2, seed + 60)
+        back = inv(U0, ret(xi))
+        assert np.linalg.norm(back.Xi - xi.Xi) < 1e-10
+        U1 = exp_beta(rand_tangent(U0, 0.8, seed + 70))
+        again = ret(inv(U0, U1))
+        assert np.linalg.norm(again.U - U1.U) < 1e-10
+
+
+class PolarLightContracts(RoundtripContracts):
+    """RoundtripContracts, and PL's and PL-Cayley's twist is I on a horizontal tangent."""
+
+    def test_coincides_with_pf_for_horizontal(self):
+        U0 = rand_point(25, 5, 1)
+        xi = horizontal_tangent(U0, 2)
+        diff = np.linalg.norm(RETRACTION_PAIRS[self.kind][0](xi).U - pf_ret(xi).U)
+        assert diff < 1e-12 * np.sqrt(5)
+
+
+class TestPolarFactor(RoundtripContracts):
+    kind = "pf"
 
     def test_sphere_direct_evaluation(self):
         U0 = StiefelPoint(np.array([[1.0], [0.0]]))
@@ -166,17 +200,6 @@ class TestPolarFactor:
             for t in ts
         ]
         assert fit_slope(ts, errs) > 2.8
-
-    def test_inverse_at_base(self):
-        U0 = rand_point(12, 4, 3)
-        assert np.linalg.norm(pf_inv(U0, U0).Xi) < 1e-12
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_inverse_roundtrip(self, seed):
-        U0 = rand_point(30, 6, seed)
-        xi = rand_tangent(U0, 1.0, seed + 50)
-        back = pf_inv(U0, pf_ret(xi))
-        assert np.linalg.norm(back.Xi - xi.Xi) < 1e-10
 
     def test_inverse_roundtrip_near_defective_overlap(self):
         # U0 = E, U1 = [C; P (I - C.T C)^(1/2)] with C = 0.4 Q (J + 1e-4 diag(0..5)) Q.T,
@@ -231,17 +254,8 @@ class TestPolarFactor:
         assert [r for r in log if r[0] != "_inv"] == [("solve_pf_sylvester", "newton", 0)]
 
 
-class TestPolarLight:
-    def test_zero_tangent(self):
-        U0 = rand_point(10, 3, 0)
-        out = pl_ret(TangentVector(U0, np.zeros((10, 3))))
-        assert np.allclose(out.U, U0.U)
-
-    def test_coincides_with_pf_for_horizontal(self):
-        U0 = rand_point(25, 5, 1)
-        xi = horizontal_tangent(U0, 2)
-        diff = np.linalg.norm(pl_ret(xi).U - pf_ret(xi).U)
-        assert diff < 1e-12 * np.sqrt(5)
+class TestPolarLight(PolarLightContracts):
+    kind = "pl"
 
     def test_taylor_blocks_at_canonical_point(self):
         rng = np.random.default_rng(3)
@@ -260,21 +274,6 @@ class TestPolarLight:
             errs_lo.append(np.linalg.norm(out[p:] - t * B))
         assert fit_slope(ts, errs_up) > 2.8
         assert fit_slope(ts, errs_lo) > 2.8
-
-    def test_inverse_at_base(self):
-        U0 = rand_point(12, 4, 4)
-        assert np.linalg.norm(pl_inv(U0, U0).Xi) < 1e-12
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_roundtrip_both_ways(self, seed):
-        n, p = 30, 6
-        U0 = rand_point(n, p, seed)
-        xi = rand_tangent(U0, np.pi / 2, seed + 60)
-        back = pl_inv(U0, pl_ret(xi))
-        assert np.linalg.norm(back.Xi - xi.Xi) < 1e-10
-        U1 = exp_beta(rand_tangent(U0, 0.8, seed + 70))
-        again = pl_ret(pl_inv(U0, U1))
-        assert np.linalg.norm(again.U - U1.U) < 1e-10
 
     def test_procrustes_identity(self):
         # the orthogonal factor inside pl_inv is the polar factor of U0.T U1
@@ -369,23 +368,8 @@ class TestChartAtE:
             param_at_E(ChartCoordinates(A, B))
 
 
-class TestPolarLightCayley:
-    def test_zero_tangent(self):
-        U0 = rand_point(10, 3, 0)
-        out = pl_cay_ret(TangentVector(U0, np.zeros((10, 3))))
-        assert np.allclose(out.U, U0.U)
-
-    def test_coincides_with_pf_for_horizontal(self):
-        U0 = rand_point(25, 5, 1)
-        xi = horizontal_tangent(U0, 2)
-        assert np.linalg.norm(pl_cay_ret(xi).U - pf_ret(xi).U) < 1e-12 * np.sqrt(5)
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_mutually_inverse(self, seed):
-        U0 = rand_point(30, 6, seed)
-        xi = rand_tangent(U0, np.pi / 2, seed + 80)
-        back = pl_cay_inv(U0, pl_cay_ret(xi))
-        assert np.linalg.norm(back.Xi - xi.Xi) < 1e-10
+class TestPolarLightCayley(PolarLightContracts):
+    kind = "pl_cayley"
 
     def test_third_order_agreement_with_pl(self):
         U0 = rand_point(20, 5, 4)
