@@ -220,16 +220,25 @@ class TestFrame:
     def test_error_curve_zero_distance(self):
         assert_matches_reference(gen_triple(ExperimentConfig(n=20, p=4, distance=0.0)), KINDS, 5)
 
+    def test_convergence_slopes_match_single_kind(self):
+        _, xi, _ = gen_triple(ExperimentConfig(**SMALL))
+        for beta in (BETA_CANONICAL, BETA_EUCLIDEAN):
+            rows = [(kind, beta) for kind in KINDS]
+            slopes = convergence_slopes(xi, rows)
+            assert list(slopes) == rows
+            assert slopes == {(kind, beta): convergence_slope(xi, kind, beta) for kind in KINDS}
+
     def test_several_betas_match_one_beta_each(self):
         # one frame, one retraction curve per kind and one geodesic per beta
         # serve every row, bit for bit, in row order; the rows are read once
         _, xi, _ = gen_triple(ExperimentConfig(**SMALL))
-        rows = [(kind, beta) for beta in (BETA_CANONICAL, BETA_EUCLIDEAN) for kind in KINDS]
+        betas = (BETA_EUCLIDEAN, BETA_CANONICAL)
+        rows = [(kind, beta) for beta in betas for kind in KINDS]
         for asked in (rows, ORDER_ROWS):
             slopes = convergence_slopes(xi, iter(asked))
             assert list(slopes) == asked
-            assert slopes == {(kind, beta): convergence_slope(xi, kind, beta)
-                              for kind, beta in asked}
+            assert slopes == {row: slope for kind, beta in asked
+                              for row, slope in convergence_slopes(xi, [(kind, beta)]).items()}
 
     def test_rejects_non_tangent(self):
         U0 = rand_point(20, 4, 0)
