@@ -43,6 +43,9 @@ DEFAULT_REPEATS = 100
 WARMUP_RUNS = 3
 # Step lengths t along xi / ||xi||_F at which convergence_slopes fits log error against log t.
 _ORDER_T_GRID = np.logspace(-3, -1, 12)
+# _ROUNDING sqrt(p), scaled like tol_struct, bounds what rounding alone puts between two
+# St(n, p) curves: seeded curves read 0.5-5 eps sqrt(p) at --dist 0 for p = 1 ... 400.
+_ROUNDING = 32 * np.finfo(float).eps
 
 
 @dataclass
@@ -180,6 +183,7 @@ def convergence_slopes(
     only on xi's direction, so the fit runs on xi scaled to unit norm, at t =
     _ORDER_T_GRID: step lengths from 1e-3 to 1e-1. xi is first divided by its
     largest entry, as ||xi||_F squares them and reads 0 below about 1e-154.
+    A row with a deviation within rounding, _ROUNDING sqrt(p), has slope nan.
     """
     rows = [(kind, beta) for kind, beta in rows]
     repeated = sorted({row for row in rows if rows.count(row) > 1})
@@ -193,8 +197,9 @@ def convergence_slopes(
     X = xi.Xi / big
     x = _frame(TangentVector(xi.base, X / np.linalg.norm(X)))[1]
     devs = _deviations(x, rows, dict.fromkeys(kinds, x), _ORDER_T_GRID)
-    log_t = np.log(_ORDER_T_GRID)
-    return {row: float(np.polyfit(log_t, np.log(d), 1)[0]) for row, d in devs.items()}
+    log_t, floor = np.log(_ORDER_T_GRID), _ROUNDING * np.sqrt(x.base.p)
+    return {row: float(np.polyfit(log_t, np.log(d), 1)[0]) if min(d) > floor else np.nan
+            for row, d in devs.items()}
 
 
 def convergence_slope(xi: TangentVector, kind: str, beta: float) -> float:

@@ -18,6 +18,7 @@ from .bench import (
     DEFAULT_DISTANCE,
     DEFAULT_REPEATS,
     DEFAULT_STEPS,
+    _ROUNDING,
     ExperimentConfig,
     convergence_slopes,
     emit_report,
@@ -68,10 +69,12 @@ def _run_curve(cfg: ExperimentConfig):
     records = error_curve(gen_triple(cfg), cfg.kinds, cfg.steps)
     maxima = max_errors(records)
     ok = True
-    if "pf" in maxima and "pl" in maxima and not maxima["pl"] < maxima["pf"]:
-        print("INVARIANT FAILED: max error PL is not below max error PF",
-              file=sys.stderr)
-        ok = False
+    if "pf" in maxima and "pl" in maxima:
+        if max(maxima["pf"], maxima["pl"]) <= _ROUNDING * cfg.p**0.5:
+            print("UNRESOLVED: max errors PL and PF are both within rounding", file=sys.stderr)
+        elif not maxima["pl"] < maxima["pf"]:
+            print("INVARIANT FAILED: max error PL is not below max error PF", file=sys.stderr)
+            ok = False
     return records, ok
 
 

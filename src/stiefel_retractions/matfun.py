@@ -7,13 +7,13 @@ preconditions (skewness, orthogonality, positive definiteness) before
 computing; every argument must be real, finite and of norm at most
 _MAX_NORM. invsqrtm_spd and logm_so sum a short power series in a
 symmetric or skew X (_sym_series; X X.T = +-X^2) in place of their eigh,
-_polar_parts in place of its SVD and expm_skew in place of Pade, when the
-argument is provably close to a multiple of I; from degree 8 on it sums in
-chunks of four powers by Horner's rule in X^4, to the degree that the
-smaller of two certified bounds on ||X||_2 needs. solve_pf_sylvester sums
-a Stein series by squared Smith doubling in place of its Newton iteration
-when ||I - C||_2 is provably small. Both routes take their proof from
-_norm_bound. _inv is the only direct LAPACK call.
+and _polar_parts in place of its SVD, when the argument is provably close
+to a multiple of I, and expm_skew in A / 2^s before s squarings; from
+degree 8 on it sums in chunks of four powers by Horner's rule in X^4, to
+the degree that the smaller of two certified bounds on ||X||_2 needs.
+solve_pf_sylvester sums a Stein series by squared Smith doubling in place
+of its Newton iteration when ||I - C||_2 is provably small. Both routes
+take their proof from _norm_bound. _inv is the only direct LAPACK call.
 """
 
 from __future__ import annotations
@@ -98,14 +98,15 @@ def _check_square(M: np.ndarray, name: str) -> np.ndarray:
 
 
 # _sym_series sums at most this degree: 2 syrks and 4 p-by-p products (the cap was
-# set at 8, at p = 400 about an eigh). Its series reach ||X||_2 ~ 0.1, exp ~ 0.6.
+# set at 8, at p = 400 about an eigh); its series reach ||X||_2 ~ 0.1.
 _SERIES_DEGREE = 15
+_EXP_DEGREE = 18  # the exponential's: one product more reaches 0.947, not 0.617
 _B = np.cumprod(np.r_[1.0, 1.0 - 0.5 / np.arange(1, _SERIES_DEGREE + 2)])  # |binom(-1/2, k)|
 _INVSQRT_COEFFS = _B * (-1.0) ** np.arange(_B.size)  # (1 + x)^(-1/2)
 # theta / sin(theta) at y = sin^2(theta/2): arcsin(sqrt y) / sqrt(y) times (1 - y)^(-1/2)
 _THETA_OVER_SIN_COEFFS = np.convolve(_B / (2 * np.arange(_B.size) + 1), _B)[: _B.size]
 # exp(A) = sum_j (A A.T)^j (c_2j I + c_2j+1 A) for a skew A, as A A.T = -A^2
-_EXP_COEFFS = (-1.0) ** (np.arange(_B.size) // 2) / np.cumprod(np.r_[1.0, np.arange(1, _B.size)])
+_EXP_COEFFS = (-1.0) ** (np.arange(_EXP_DEGREE + 2) // 2) / np.cumprod(np.r_[1.0, 1:_EXP_DEGREE + 2])
 
 
 def _degree_limits(coeffs: np.ndarray) -> list[float]:
@@ -128,7 +129,7 @@ _DEGREE_LIMITS = {id(c): _degree_limits(c)
 
 
 def _series_degree(coeffs: np.ndarray, rho: float) -> int | None:
-    """The least m whose tail bound holds at r = rho, or None above _SERIES_DEGREE."""
+    """The least m whose tail bound holds at r = rho, or None above the set's cap."""
     limits = _DEGREE_LIMITS[id(coeffs)]
     m = bisect.bisect_left(limits, rho)
     return m if m < len(limits) else None
@@ -195,16 +196,16 @@ def _sym_series(X: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, float, i
 def expm_skew(A: np.ndarray) -> np.ndarray:
     """Exponential of a skew-symmetric matrix; the result is in SO(p).
 
-    An A that _sym_series certifies near 0 (its bound up to about 0.6)
-    takes the Taylor series sum_j (A A.T)^j (c_2j I + c_2j+1 A), c_k =
-    (-1)^(k // 2) / k! (Moler & Van Loan, 2003), as A A.T = -A^2: from
-    degree 8 on in chunks of four powers, to the degree that min(rho,
-    rho_2) needs. Any other A takes scipy's Pade scaling-and-squaring. The
-    output is returned as computed, without re-orthogonalization. It feeds
-    logm_so roundtrips near pi, where the real eigh form of the geodesic
-    flow in core is less accurate. Its orthogonality defect grows as eps
-    ||A||, so A is refused with DomainError once that exceeds
-    tol_struct(1), at ||A||_F above about 4.5e7.
+    exp(A) = exp(A / 2^s)^(2^s) (Moler & Van Loan, 2003) for the least s
+    whose A / 2^s _sym_series certifies near 0 (its bound up to about
+    0.95), starting where the largest column norm admits it: the Taylor
+    series sum_j (A A.T)^j (c_2j I + c_2j+1 A), c_k = (-1)^(k // 2) / k!,
+    as A A.T = -A^2, then s squarings. The output is returned as computed,
+    without re-orthogonalization. It feeds logm_so roundtrips near pi,
+    where the real eigh form of the geodesic flow in core is less
+    accurate. Its orthogonality defect grows as eps ||A||, so A is refused
+    with DomainError once that exceeds tol_struct(1), at ||A||_F above
+    about 4.5e7.
     """
     A = _check_square(A, "A")
     A_norm = np.linalg.norm(A)
@@ -213,12 +214,12 @@ def expm_skew(A: np.ndarray) -> np.ndarray:
         raise ValidationError(f"expm_skew: input not skew-symmetric (defect {defect:.3e})")
     if np.finfo(float).eps * A_norm > tol_struct(1):
         raise DomainError(f"expm_skew: norm {A_norm:.3e} too large to exponentiate accurately")
-    series = _sym_series(A, _EXP_COEFFS)
-    if series is not None:
-        _note("expm_skew", "series", series[2])
-        return series[0]
-    _note("expm_skew", "pade")
-    return scipy.linalg.expm(A)
+    col = np.sqrt(np.max(np.einsum("ij,ij->j", A, A))) / _DEGREE_LIMITS[id(_EXP_COEFFS)][-1]
+    s = int(np.ceil(np.log2(col))) if col > 1.0 else 0
+    while (series := _sym_series(A * 0.5**s, _EXP_COEFFS)) is None:
+        s += 1
+    _note("expm_skew", *(("squared", s) if s else ("series", series[2])))
+    return np.linalg.matrix_power(series[0], 2**s)
 
 
 def logm_so(Q: np.ndarray) -> np.ndarray:

@@ -55,6 +55,44 @@ def test_invariant_failure_exits_two_and_still_writes(tmp_path, capsys, monkeypa
     assert (out / "maxerr.csv").exists()
 
 
+@pytest.mark.parametrize("dist", ["1e-8", "0"])
+def test_curve_within_rounding_is_unresolved(tmp_path, capsys, dist):
+    # both curves stay within rounding of the geodesic: the maxima, about
+    # 4e-16 and equal to 12 digits, cannot say whether PL is below PF
+    out = tmp_path / "run"
+    assert main(["curve", "--n", "20", "--p", "4", "--dist", dist, "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "UNRESOLVED" in err and "INVARIANT FAILED" not in err
+    with open(out / "maxerr.csv") as f:
+        maxima = {r["kind"]: float(r["max_error"]) for r in csv.DictReader(f)}
+    assert set(maxima) == {"pf", "pl"}
+    assert max(maxima.values()) <= bench._ROUNDING * np.sqrt(4)
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+def test_curve_judges_maxima_above_rounding(tmp_path, capsys, monkeypatch, side):
+    # PL at or above PF fails once either maximum is above the floor
+    floor = bench._ROUNDING * np.sqrt(8)
+    maxima = {"pf": floor * (1.0 + side * 1e-6), "pl": floor * (1.0 + side * 1e-6)}
+    monkeypatch.setattr(cli, "max_errors", lambda records: maxima)
+    assert main(["curve", *SMALL_ARGS, "--out", str(tmp_path / "run")]) == (2 if side > 0 else 0)
+    err = capsys.readouterr().err
+    assert ("INVARIANT FAILED" if side > 0 else "UNRESOLVED") in err
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_order_on_square_frames_flags_pl(tmp_path, capsys, p):
+    # on St(p, p) PL is the exponential, so its deviations are rounding and
+    # its rows have no order to measure; PF's still reads 3
+    out = tmp_path / "run"
+    assert main(["order", "--n", str(p), "--p", str(p), "--out", str(out)]) == 0
+    with open(out / "order.csv") as f:
+        rows = {(r["kind"], float(r["beta"])): r["slope"] for r in csv.DictReader(f)}
+    assert rows[("pl", BETA_EUCLIDEAN)] == rows[("pl", BETA_CANONICAL)] == "nan"
+    assert float(rows[("pf", BETA_EUCLIDEAN)]) == pytest.approx(3.0, abs=1e-3)
+    assert "pf         beta=1    slope=3.000" in capsys.readouterr().out
+
+
 def test_invalid_kind_exits_nonzero(tmp_path, capsys):
     rc = main(["curve", *SMALL_ARGS, "--kinds", "qr", "--out", str(tmp_path / "x")])
     assert rc == 1

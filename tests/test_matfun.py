@@ -79,6 +79,23 @@ class TestExpmSkew:
         A[0, 1] += 1e-5
         expm_skew(A)
 
+    @pytest.mark.parametrize("norm", [1.0, 3.0, 10.0, 100.0, 1e4])
+    @pytest.mark.parametrize("p", [10, 100])
+    def test_squared_route_matches_scipy_expm(self, p, norm, routes):
+        # the least s with rho / 2^s, rho = sqrt(||A A.T||_1), within the series
+        # limit, as halving A halves rho exactly; every norm here needs s >= 1.
+        # Seeded runs read ||Q - expm(A)||_F at most 2.2 eps ||A||_2 sqrt(p)
+        A = random_skew(p, np.random.default_rng(p))
+        A *= norm / np.linalg.norm(A, 2)
+        rho = np.sqrt(np.linalg.norm(A @ A.T, 1))
+        s = int(np.ceil(np.log2(rho / series_limit(matfun._EXP_COEFFS))))
+        with routes() as log:
+            Q = expm_skew(A)
+        assert s >= 1 and log == [("expm_skew", "squared", s)]
+        err = np.linalg.norm(Q - scipy.linalg.expm(A))
+        assert err <= 10.0 * np.finfo(float).eps * norm * np.sqrt(p)
+        assert np.linalg.norm(Q.T @ Q - np.eye(p)) <= matfun.tol_struct(p)
+
 
 class TestLogmSo:
     def test_identity(self):
@@ -242,12 +259,13 @@ class TestInvsqrtmSpd:
             invsqrtm_spd(np.diag([1.0, 1.0 / cond]))
 
 
-def series_limit(coeffs, m=matfun._SERIES_DEGREE):
+def series_limit(coeffs, m=None):
     """The largest rho, to 1e-12 relative, with |c[m+1]| rho^(m+1) <= eps/4 (1 - rho).
 
-    The tail bound of _sym_series at degree m, by default its cap: the 2-norm
-    up to which it sums coeffs to degree m.
+    The tail bound of _sym_series at degree m, by default the cap of coeffs
+    (its last degree but one): the 2-norm up to which it sums coeffs to degree m.
     """
+    m = coeffs.size - 2 if m is None else m
     lo, hi = 0.0, 1.0
     while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
@@ -258,7 +276,7 @@ def series_limit(coeffs, m=matfun._SERIES_DEGREE):
 
 def series_degree(coeffs, r):
     """The least m with |c[m+1]| r^(m+1) <= eps/4 (1 - r), or None above the cap."""
-    for m in range(matfun._SERIES_DEGREE + 1):
+    for m in range(coeffs.size - 1):
         if abs(coeffs[m + 1]) * r ** (m + 1) <= 0.25 * np.finfo(float).eps * (1 - r):
             return m
     return None
@@ -293,7 +311,7 @@ class TestSeriesRoute:
     @pytest.mark.parametrize(
         "coeffs, limits",
         [(matfun._INVSQRT_COEFFS, (0.1, 0.11)), (matfun._THETA_OVER_SIN_COEFFS, (0.1, 0.11)),
-         (matfun._EXP_COEFFS, (0.6, 0.62))],
+         (matfun._EXP_COEFFS, (0.94, 0.95))],
         ids=["invsqrt", "phi", "exp"],
     )
     def test_coefficients_do_not_grow(self, coeffs, limits):
@@ -307,7 +325,7 @@ class TestSeriesRoute:
     )
     def test_degree_table_matches_tail_bound(self, coeffs):
         # on a grid over [0, 1.2] and just either side of each degree's limit
-        limits = [series_limit(coeffs, m) for m in range(matfun._SERIES_DEGREE + 1)]
+        limits = [series_limit(coeffs, m) for m in range(coeffs.size - 1)]
         rs = [*np.linspace(0.0, 1.2, 601), *(r * (1.0 + s * 1e-9) for r in limits for s in (-1, 1))]
         for r in rs:
             assert matfun._series_degree(coeffs, r) == series_degree(coeffs, r), r
@@ -384,13 +402,14 @@ class TestSeriesRoute:
     @pytest.mark.parametrize("p", [10, 100])
     @pytest.mark.parametrize("side", [-1, 1])
     def test_expm_route_limit(self, p, side, routes):
-        # every plane at the angle r, so A A.T = r^2 I and both bounds are r
+        # every plane at the angle r, so A A.T = r^2 I and both bounds are r;
+        # above the limit the series sums A / 2 and squares once
         r = series_limit(matfun._EXP_COEFFS) * (1.0 + side * 1e-3)
         A = skew_with_angles(np.full(p // 2, r), p, np.random.default_rng(p + 9))
         with routes() as log:
             Q = expm_skew(A)
-        assert log == [("expm_skew", "pade", 0) if side > 0
-                       else ("expm_skew", "series", matfun._SERIES_DEGREE)]
+        assert log == [("expm_skew", "squared", 1) if side > 0
+                       else ("expm_skew", "series", matfun._EXP_DEGREE)]
         Q_ref = scipy.linalg.expm(A)
         assert np.linalg.norm(Q - Q_ref) <= 1e-14 * np.linalg.norm(Q_ref)
         assert np.linalg.norm(Q.T @ Q - np.eye(p)) <= matfun.tol_struct(p)

@@ -476,13 +476,13 @@ class TestDomainEdges:
     def test_chart_edge_retraction_takes_eigh(self, kind, routes):
         # at sigma_min(U0.T U1) = 1e-3 the inverse returns a tangent of norm
         # ~1e3, whose retraction's Gram matrix is far outside the series gate;
-        # so is the PL twist, which takes Pade
+        # the PL twist sums its series at half its norm and squares once
         ret, inv = RETRACTION_PAIRS[kind]
         U0, U1, _ = edge_pair(100, 40, 1e-3, 0)
         xi = inv(U0, U1)
         with routes() as log:
             again = ret(xi)
-        twist = [("expm_skew", "pade", 0)] if kind == "pl" else []
+        twist = [("expm_skew", "squared", 1)] if kind == "pl" else []
         assert [r for r in log if r[0] != "_inv"] == [*twist, ("invsqrtm_spd", "eigh", 0)]
         assert np.linalg.norm(again.U - U1.U) <= 1e-10 * np.sqrt(40)
 
