@@ -10,8 +10,8 @@ order experiment fits log deviation against log t for small t, per
 
 Each experiment works in one 2p-dimensional frame F = qr([U0, xi]) that
 holds both curves: the inverses run on (F.T U0, F.T U1), each beta's
-geodesic and each kind's retraction curve are evaluated once per t, and
-the QR and the products with F.T are its only n-sized work.
+geodesic and each kind's retraction curve are factored once for all t,
+and the QR and the products with F.T are its only n-sized work.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .core import (
     rand_tangent,
 )
 from .matfun import ValidationError
-from .retractions import RETRACTION_PAIRS
+from .retractions import RETRACTION_PAIRS, _curve
 
 DEFAULT_DISTANCE = np.pi / 2
 DEFAULT_STEPS = 51
@@ -130,13 +130,14 @@ def _deviations(x: TangentVector, rows: list[tuple[str, float]],
     """||Exp_beta(t x) - R_kind(t curves[kind])||_F over ts, per (kind, beta) row, in row order.
 
     x and every curve tangent are frame coordinates from _frame. Each
-    distinct beta's geodesic is factored once, and at each t each curve is
-    evaluated once.
+    distinct beta's geodesic and each kind's retraction curve is factored
+    once (core._geodesic, retractions._curve) and evaluated once per t.
     """
     geodesics = {beta: _geodesic(x, beta) for beta in dict.fromkeys(beta for _, beta in rows)}
+    retracted = {kind: _curve(kind, c) for kind, c in curves.items()}
     out: dict[tuple[str, float], list[float]] = {row: [] for row in rows}
     for t in ts:
-        points = {kind: RETRACTION_PAIRS[kind][0](c.scaled(t)).U for kind, c in curves.items()}
+        points = {kind: curve(t) for kind, curve in retracted.items()}
         geos = {beta: geodesic(t) for beta, geodesic in geodesics.items()}
         for kind, beta in rows:
             out[kind, beta].append(float(np.linalg.norm(geos[beta] - points[kind])))
@@ -207,36 +208,37 @@ def convergence_slope(xi: TangentVector, kind: str, beta: float) -> float:
     return convergence_slopes(xi, [(kind, beta)])[kind, beta]
 
 
-def timing_run(cfg: ExperimentConfig, kind: str) -> TimingRecord:
-    """Mean wall-clock time of the inverse retraction over fresh random pairs.
+def timing_runs(cfg: ExperimentConfig, kinds: Sequence[str]) -> list[TimingRecord]:
+    """Per kind, in kind order: mean wall-clock time of its inverse over fresh random pairs.
 
-    Each repeat generates a fresh (U0, xi) at the configured distance,
-    forms U1 = R(xi), and times only the inverse evaluation. The mean of
-    ||R^{-1}(R(xi)) - xi||_F is recorded alongside. Warmup runs are
-    excluded from the statistics.
+    Each warm-up and repeat draws one (U0, xi) at the configured distance,
+    from cfg.seed; every kind then forms U1 = R(xi) and times only its
+    inverse on that pair. The mean of ||R^{-1}(U0, R(xi)) - xi||_F is
+    recorded alongside. Warm-up runs are excluded from the statistics.
     """
-    _check_experiment((kind,))
-    ret, inv = RETRACTION_PAIRS[kind]
+    _check_experiment(kinds)
     rng = np.random.default_rng(cfg.seed)
-
-    def fresh_pair():
+    times: dict[str, list[float]] = {kind: [] for kind in kinds}
+    roundtrips: dict[str, list[float]] = {kind: [] for kind in kinds}
+    for run in range(WARMUP_RUNS + cfg.repeats):
         U0 = rand_point(cfg.n, cfg.p, rng)
         xi = rand_tangent(U0, cfg.distance, rng)
-        return U0, xi, ret(xi)
+        for kind in kinds:
+            ret, inv = RETRACTION_PAIRS[kind]
+            U1 = ret(xi)
+            t0 = time.perf_counter()
+            xi_back = inv(U0, U1)
+            elapsed = time.perf_counter() - t0
+            if run >= WARMUP_RUNS:
+                times[kind].append(elapsed)
+                roundtrips[kind].append(np.linalg.norm(xi_back.Xi - xi.Xi))
+    return [TimingRecord(kind, float(np.mean(times[kind])), float(np.mean(roundtrips[kind])))
+            for kind in kinds]
 
-    for _ in range(WARMUP_RUNS):
-        U0, xi, U1 = fresh_pair()
-        inv(U0, U1)
 
-    times = []
-    roundtrips = []
-    for _ in range(cfg.repeats):
-        U0, xi, U1 = fresh_pair()
-        t0 = time.perf_counter()
-        xi_back = inv(U0, U1)
-        times.append(time.perf_counter() - t0)
-        roundtrips.append(np.linalg.norm(xi_back.Xi - xi.Xi))
-    return TimingRecord(kind, float(np.mean(times)), float(np.mean(roundtrips)))
+def timing_run(cfg: ExperimentConfig, kind: str) -> TimingRecord:
+    """timing_runs for the one kind."""
+    return timing_runs(cfg, (kind,))[0]
 
 
 def _write_table(path: Path, cfg: ExperimentConfig, columns: list[str], rows) -> None:

@@ -26,7 +26,7 @@ from .bench import (
     gen_tangent,
     gen_triple,
     max_errors,
-    timing_run,
+    timing_runs,
 )
 from .core import BETA_CANONICAL, BETA_EUCLIDEAN
 from .matfun import DomainError, ValidationError
@@ -106,7 +106,7 @@ def main(argv=None) -> int:
         if args.command in ("curve", "all"):
             records, ok = _run_curve(cfg)
         if args.command in ("timing", "all"):
-            timings = [timing_run(cfg, kind) for kind in cfg.kinds]
+            timings = timing_runs(cfg, cfg.kinds)
         summary = emit_report(args.out, cfg, records, timings, slopes)
     except (DomainError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

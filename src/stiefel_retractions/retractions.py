@@ -16,7 +16,8 @@ Every retraction is the polar factor of U K + Xi: K = I for PF and
 K = twist(A) - A, A = U.T Xi, for PL and PL-Cayley, which share one
 implementation; the chart at E = [I; 0] is the PL pair at E. All O(n)
 work is plain matrix-matrix multiplication; decompositions only touch
-p-by-p blocks.
+p-by-p blocks. _curve factors a whole retraction curve t -> R(t xi) for
+the benchmark's deviation experiments.
 """
 
 from __future__ import annotations
@@ -93,6 +94,37 @@ def _pl_inv(base: StiefelPoint, U1: StiefelPoint, untwist: _Twist) -> TangentVec
         raise DomainError("U0.T U1 nearly singular, outside chart neighborhood")
     Xi = base.U @ (untwist(W) - W) + U1.U @ H_inv
     return TangentVector(base, Xi)
+
+
+def _curve(kind: str, xi: TangentVector) -> Callable[[float], np.ndarray]:
+    """t -> RETRACTION_PAIRS[kind][0](xi.scaled(t)).U, its normalizer factored once for all t.
+
+    With A = U.T Xi and P = Xi - U A, the retraction is the polar factor of
+    M = U + t Xi (PF) or M = U twist(t A) + t P (PL, PL-Cayley). A is skew
+    and U.T P = 0, so M.T M = I + t^2 G with G = Xi.T Xi or P.T P, and one
+    eigh G = W diag(lam) W.T gives M (M.T M)^(-1/2) = M W diag((1 + t^2
+    lam)^(-1/2)) W.T at every t (Higham, 1986), as core._geodesic factors
+    the geodesic. The twist is the kind's public map, looked up at call
+    time. ValidationError when Xi is not tangent; DomainError wherever the
+    twist or invsqrtm_spd would refuse, the latter by its own test on the
+    eigenvalues 1 + t^2 lam of M.T M.
+    """
+    U = xi.base.U
+    A = _skew_block(xi)
+    twist = {"pf": None, "pl": expm_skew, "pl_cayley": cay}[kind]
+    N = xi.Xi if twist is None else xi.Xi - U @ A
+    lam, W = np.linalg.eigh(N.T @ N)
+    lam = np.maximum(lam, 0.0)
+    UW, NW = U @ W, N @ W
+
+    def at(t: float) -> np.ndarray:
+        head = UW if twist is None else U @ (twist(t * A) @ W)
+        d = 1.0 + t * t * lam
+        if np.finfo(float).eps * d[-1] > matfun.tol_struct(1) * d[0]:
+            raise DomainError(f"invsqrtm_spd: condition number {d[-1] / d[0]:.3e} too large")
+        return ((head + t * NW) * d**-0.5) @ W.T
+
+    return at
 
 
 def pl_ret(xi: TangentVector) -> StiefelPoint:

@@ -13,6 +13,7 @@ from stiefel_retractions.bench import (
     gen_triple,
     max_errors,
     timing_run,
+    timing_runs,
 )
 from stiefel_retractions.core import (
     BETA_CANONICAL,
@@ -110,14 +111,16 @@ class TestConfig:
         (lambda tr: convergence_slopes(tr[1], [("pf", 1.0), ("qr", 1.0)]), UNKNOWN_QR),
         (lambda tr: convergence_slope(tr[1], "qr", BETA_EUCLIDEAN), UNKNOWN_QR),
         (lambda tr: timing_run(ExperimentConfig(n=30, p=5, repeats=1), "qr"), UNKNOWN_QR),
+        (lambda tr: timing_runs(ExperimentConfig(n=30, p=5, repeats=1), ("pl", "qr")),
+         UNKNOWN_QR),
         (lambda tr: convergence_slopes(tr[1], []), "kinds must name at least one"),
         (lambda tr: convergence_slopes(tr[1], [("pl", 1.0), ("pl", 0.5), ("pl", 1.0)]),
          r"rows must not repeat, got \[\('pl', 1.0\)\]"),
     ], ids=["curve_steps1", "curve_steps0", "curve_kind", "slopes_kind", "slope_kind",
-            "timing_kind", "rows_empty", "rows_repeated"])
+            "timing_kind", "timing_kinds", "rows_empty", "rows_repeated"])
     def test_harness_functions_hold_its_rules(self, call, message):
-        # error_curve, convergence_slopes, convergence_slope and timing_run
-        # refuse what ExperimentConfig refuses, with its messages
+        # error_curve, convergence_slopes, convergence_slope, timing_run and
+        # timing_runs refuse what ExperimentConfig refuses, with its messages
         with pytest.raises(ValidationError, match=f"^{message}"):
             call(gen_triple(ExperimentConfig(**SMALL)))
 
@@ -252,6 +255,15 @@ class TestTiming:
         rec = timing_run(ExperimentConfig(n=30, p=5, repeats=1, seed=0), "pl")
         assert rec.mean_seconds > 0 and np.isfinite(rec.mean_seconds)
         assert rec.roundtrip_norm_mean < 1e-10
+
+    @pytest.mark.parametrize("kinds", [KINDS, KINDS[::-1]])
+    def test_several_kinds_match_one_kind_each(self, kinds):
+        # every kind's inverse runs on the same seeded pairs, alone or together
+        cfg = ExperimentConfig(n=30, p=5, repeats=3, seed=4)
+        records = timing_runs(cfg, kinds)
+        assert [rec.kind for rec in records] == list(kinds)
+        assert [rec.roundtrip_norm_mean for rec in records] == [
+            timing_run(cfg, kind).roundtrip_norm_mean for kind in kinds]
 
 
 class TestReports:

@@ -19,6 +19,7 @@ from stiefel_retractions.matfun import DomainError, ValidationError, expm_skew, 
 from stiefel_retractions.retractions import (
     RETRACTION_PAIRS,
     ChartCoordinates,
+    _curve,
     chart_at_E,
     param_at_E,
     pf_inv,
@@ -507,6 +508,43 @@ class TestDomainEdges:
         if retract is pf_ret:
             W, _, Zt = np.linalg.svd(U0.U + Xi, full_matrices=False)
             assert np.linalg.norm(out.U - W @ Zt) <= matfun.tol_struct(p)
+
+
+class TestFactoredCurve:
+    """retractions._curve, the deviation experiments' retraction curve, is the public map."""
+
+    @pytest.mark.parametrize("norm", [np.pi / 2, 10.0, 1e5])
+    @pytest.mark.parametrize("n, p", [(40, 8), (1000, 100)])
+    @pytest.mark.parametrize("kind", ["pf", "pl", "pl_cayley"])
+    def test_matches_public_map(self, kind, n, p, norm):
+        ret = RETRACTION_PAIRS[kind][0]
+        xi = rand_tangent(rand_point(n, p, 1), norm, 2)
+        curve = _curve(kind, xi)
+        for t in np.linspace(0.0, 1.0, 51):
+            assert np.linalg.norm(curve(t) - ret(xi.scaled(t)).U) <= 1e-13
+
+    @pytest.mark.parametrize("kind", ["pf", "pl", "pl_cayley"])
+    def test_refuses_where_the_public_map_does(self, kind):
+        # a normal Xi of rank p - 1: cond(M.T M) = 1 + t^2 ||Xi||_2^2 passes
+        # invsqrtm_spd's limit, about 4.5e7, between t = 0.1 and t = 1
+        ret = RETRACTION_PAIRS[kind][0]
+        U0 = rand_point(40, 8, 1)
+        P = normal_part(U0, np.random.default_rng(2).standard_normal((40, 8)))
+        P[:, 0] = 0.0
+        xi = TangentVector(U0, P * (1e5 / np.linalg.norm(P)))
+        curve = _curve(kind, xi)
+        for t in (1e-3, 1e-2, 0.1):
+            assert np.linalg.norm(curve(t) - ret(xi.scaled(t)).U) <= 1e-13
+        for at_one in (lambda: curve(1.0), lambda: ret(xi.scaled(1.0))):
+            with pytest.raises(DomainError, match=r"condition number 2\.373e\+09 too large"):
+                at_one()
+
+    @pytest.mark.parametrize("kind", ["pf", "pl", "pl_cayley"])
+    def test_rejects_non_tangent(self, kind):
+        # unlike pf_ret, the PF curve needs U.T Xi skew: M.T M = I + t^2 Xi.T Xi
+        U0 = rand_point(20, 4, 0)
+        with pytest.raises(ValidationError, match="not skew"):
+            _curve(kind, TangentVector(U0, U0.U * [0.3, 0.1, 0.0, 0.2]))
 
 
 class TestSharedInvariants:
