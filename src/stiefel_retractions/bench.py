@@ -8,10 +8,10 @@ retraction curve t -> R(t xi_R) on an equidistant grid in [0, 1]. The
 order experiment fits log deviation against log t for small t, per
 (kind, beta) row: a retraction and the metric parameter of its geodesic.
 
-Each experiment works in one 2p-dimensional frame F = qr([U0, xi]) that
-holds both curves: the inverses run on (F.T U0, F.T U1), each beta's
-geodesic and each kind's retraction curve are factored once for all t,
-and the QR and the products with F.T are its only n-sized work.
+Each experiment factors xi once, by the QR [U0, xi] = F R of _frame. In
+the 2p-dimensional frame F, U0 is E = [I; 0] and xi is R[:, p:] = [A; B]:
+the inverses run on (E, F.T U1), each beta's geodesic is core._flow(A, B,
+beta), and the QR and F.T U1 are the only n-sized work.
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ from .core import (
     StiefelPoint,
     TangentVector,
     _check_sizes,
-    _geodesic,
+    _flow,
+    _skew_block,
+    canonical_point,
     exp_beta,
     rand_point,
     rand_tangent,
@@ -109,31 +111,39 @@ def gen_triple(cfg: ExperimentConfig) -> tuple[StiefelPoint, TangentVector, Stie
 
 
 def _frame(xi: TangentVector) -> tuple[np.ndarray, TangentVector]:
-    """F from the reduced QR of [U, Xi], and xi in its coordinates: (F.T U, F.T Xi).
+    """F from the reduced QR [U, Xi] = F R, and xi in its coordinates: (E, R[:, p:]).
 
-    F is n-by-min(n, 2p) and orthonormal whatever the rank of [U, Xi]. Its
-    span holds the geodesic t -> Exp_beta(t xi) for every beta, U1 =
-    Exp(xi) and every inverse retraction of (U, U1). The maps commute
-    with F: R(F eta) = F R(eta) for each retraction R and R^-1(F V0, F V1)
-    = F R^-1(V0, V1) for each inverse, as each multiplies its n-by-p
-    arguments by p-by-p matrices and decomposes only their p-by-p Gram
-    and cross products. F.T keeps Frobenius norms, so deviations in the
-    frame are those of the full-size curves up to roundoff, and the QR and
-    the products with F.T are an experiment's only n-sized work.
+    F is n-by-min(n, 2p) and orthonormal whatever the rank of [U, Xi]. U
+    is orthonormal, so R[:p, :p] is diag(+-1) to rounding; with those signs
+    flipped in F and R, F[:, :p] = U to rounding, U is E =
+    canonical_point(min(n, 2p), p) in F and Xi is R[:, p:] = [A; B], A =
+    U.T Xi. F's span holds the geodesic t -> Exp_beta(t xi) for every beta,
+    U1 = Exp(xi) and every inverse retraction of (U, U1). The maps commute
+    with F: R(F eta) = F R(eta) and R^-1(F V0, F V1) = F R^-1(V0, V1), as
+    each multiplies its n-by-p arguments by p-by-p matrices and decomposes
+    only their p-by-p Gram and cross products. F.T keeps Frobenius norms,
+    so deviations in the frame are those of the full-size curves up to
+    roundoff.
     """
-    F = np.linalg.qr(np.hstack([xi.base.U, xi.Xi]))[0]
-    return F, TangentVector(StiefelPoint(F.T @ xi.base.U), F.T @ xi.Xi)
+    p = xi.base.p
+    F, R = np.linalg.qr(np.hstack([xi.base.U, xi.Xi]))
+    signs = np.sign(np.diagonal(R)[:p])
+    F[:, :p] *= signs
+    R[:p] *= signs[:, None]
+    return F, TangentVector(canonical_point(F.shape[1], p), R[:, p:])
 
 
 def _deviations(x: TangentVector, rows: list[tuple[str, float]],
                 curves: dict[str, TangentVector], ts) -> dict[tuple[str, float], list[float]]:
     """||Exp_beta(t x) - R_kind(t curves[kind])||_F over ts, per (kind, beta) row, in row order.
 
-    x and every curve tangent are frame coordinates from _frame. Each
-    distinct beta's geodesic and each kind's retraction curve is factored
-    once (core._geodesic, retractions._curve) and evaluated once per t.
+    x and every curve tangent are frame coordinates from _frame, at E. Each
+    distinct beta's geodesic (core._flow of x = [A; B]) and each kind's
+    retraction curve (retractions._curve) is factored once and evaluated
+    once per t.
     """
-    geodesics = {beta: _geodesic(x, beta) for beta in dict.fromkeys(beta for _, beta in rows)}
+    A, B = _skew_block(x), x.Xi[x.base.p:]
+    geodesics = {beta: _flow(A, B, beta) for beta in dict.fromkeys(beta for _, beta in rows)}
     retracted = {kind: _curve(kind, c) for kind, c in curves.items()}
     out: dict[tuple[str, float], list[float]] = {row: [] for row in rows}
     for t in ts:
@@ -152,7 +162,7 @@ def error_curve(
     """Per-step deviations between the geodesic and each retraction curve.
 
     U1 is pulled back in the frame of _frame: each inverse runs on
-    (F.T U0, F.T U1).
+    (E, F.T U1).
     """
     _check_experiment(kinds, steps)
     U0, xi, U1 = triple

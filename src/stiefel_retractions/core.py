@@ -220,24 +220,29 @@ def _skew_flow(S: np.ndarray, k: int) -> Callable[[float], np.ndarray]:
     return at
 
 
+def _flow(A: np.ndarray, R: np.ndarray, beta: float) -> Callable[[float], np.ndarray]:
+    """t -> exp(t L)[:, :p] exp(t (1 - 2 beta) A), L = [[2 beta A, -R.T], [R, 0]].
+
+    For A = U.T Xi and any orthonormal Q with U.T Q = 0 and Q R = Xi - U A,
+    [U Q] times this is Exp_beta(t xi) (Edelman, Arias & Smith, 1998). Both
+    flows are factored once, the second only when 1 - 2 beta is not 0.
+    """
+    _check_beta(beta)
+    r, p = R.shape
+    head = _skew_flow(np.block([[2.0 * beta * A, -R.T], [R, np.zeros((r, r))]]), p)
+    if 1.0 - 2.0 * beta == 0.0:  # the canonical metric: the twist flow is exactly I
+        return head
+    twist = _skew_flow((1.0 - 2.0 * beta) * A, p)
+    return lambda t: head(t) @ twist(t)
+
+
 def _geodesic(xi: TangentVector, beta: float) -> Callable[[float], np.ndarray]:
     """t -> Exp_beta(t xi) as an n-by-p array, factored once for all t.
 
-    With A = U.T Xi, the thin QR Q R = Xi - U A and the skew 2p-by-2p
-    L = [[2 beta A, -R.T], [R, 0]], Exp_beta(t xi) = [U Q] exp(t L)[:, :p]
-    exp(t (1 - 2 beta) A) (Edelman, Arias & Smith, 1998). Both flows are
-    factored once, the second only when 1 - 2 beta is not 0; each t then
-    costs products of p- and 2p-sized matrices and one n-by-2p times
-    2p-by-p product.
+    [U Q] _flow(A, R, beta) with A = U.T Xi and the thin QR Q R = Xi - U A.
     """
-    _check_beta(beta)
-    U = xi.base.U
-    p = xi.base.p
     A = _skew_block(xi)
-    Q, R = np.linalg.qr(xi.Xi - U @ A)
-    basis = np.hstack([U, Q])
-    head = _skew_flow(np.block([[2.0 * beta * A, -R.T], [R, np.zeros((p, p))]]), p)
-    if 1.0 - 2.0 * beta == 0.0:  # the canonical metric: the twist flow is exactly I
-        return lambda t: basis @ head(t)
-    twist = _skew_flow((1.0 - 2.0 * beta) * A, p)
-    return lambda t: basis @ (head(t) @ twist(t))
+    Q, R = np.linalg.qr(xi.Xi - xi.base.U @ A)
+    basis = np.hstack([xi.base.U, Q])
+    flow = _flow(A, R, beta)
+    return lambda t: basis @ flow(t)

@@ -13,7 +13,8 @@ degree 8 on it sums in chunks of four powers by Horner's rule in X^4, to
 the degree that the smaller of two certified bounds on ||X||_2 needs.
 solve_pf_sylvester sums a Stein series by squared Smith doubling in place
 of its Newton iteration when ||I - C||_2 is provably small. Both routes
-take their proof from _norm_bound. _inv is the only direct LAPACK call.
+take their proof from _norm_bound; expm_skew forms that bound once, before
+it scales A. _inv is the only direct LAPACK call.
 """
 
 from __future__ import annotations
@@ -148,7 +149,8 @@ def _norm_bound(X: np.ndarray, limit: float) -> tuple[np.ndarray, float] | None:
     return (XXt, rho) if rho <= limit else None
 
 
-def _sym_series(X: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, float, int] | None:
+def _sym_series(X: np.ndarray, coeffs: np.ndarray, bound: tuple[np.ndarray, float] | None = None
+                ) -> tuple[np.ndarray, float, int] | None:
     """(sum_k coeffs[k] X^k, rho, m) for a symmetric or skew X with ||X||_2 <= rho, or None.
 
     X^k stands for Y^(k // 2) X^(k % 2), Y = X X.T, which is X^2 for a
@@ -157,7 +159,8 @@ def _sym_series(X: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, float, i
     = 2^-54 at r >= ||X||_2, looked up by _series_degree in a table made at
     import; coeffs must be one of this module's coefficient sets. None
     means m > _SERIES_DEGREE at r = rho = sqrt(||Y||_1), from _norm_bound,
-    whose Y the sum reuses. Horner's rule
+    whose Y the sum reuses; a caller that has already formed it passes
+    bound = (Y, rho), with rho within the set's reach. Horner's rule
     over chunks of s powers (Paterson & Stockmeyer, 1973) then takes
     ceil((m + 1)/s) - 1 products, one fewer when the top chunk is c_m I
     alone: in Z = Y over the pairs c_2j I + c_2j+1 X (s = 2) or, once m is
@@ -166,8 +169,7 @@ def _sym_series(X: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, float, i
     Y^2 also gives rho_2 = ||Y^2||_1^(1/4) >= ||X||_2, and m is then taken
     at r = min(rho, rho_2).
     """
-    bound = _norm_bound(X, _DEGREE_LIMITS[id(coeffs)][-1])
-    if bound is None:
+    if bound is None and (bound := _norm_bound(X, _DEGREE_LIMITS[id(coeffs)][-1])) is None:
         return None
     Y, rho = bound
     p, m = X.shape[0], _series_degree(coeffs, rho)
@@ -197,12 +199,13 @@ def expm_skew(A: np.ndarray) -> np.ndarray:
     """Exponential of a skew-symmetric matrix; the result is in SO(p).
 
     exp(A) = exp(A / 2^s)^(2^s) (Moler & Van Loan, 2003) for the least s
-    whose A / 2^s _sym_series certifies near 0 (its bound up to about
-    0.95), starting where the largest column norm admits it: the Taylor
+    with rho / 2^s within the series' reach (about 0.95), rho = sqrt(||Y||_1)
+    from one syrk Y = A A.T. Halving A quarters Y exactly, so _sym_series
+    takes (Y / 4^s, rho / 2^s) as the bound of A / 2^s and sums the Taylor
     series sum_j (A A.T)^j (c_2j I + c_2j+1 A), c_k = (-1)^(k // 2) / k!,
-    as A A.T = -A^2, then s squarings. The output is returned as computed,
-    without re-orthogonalization. It feeds logm_so roundtrips near pi,
-    where the real eigh form of the geodesic flow in core is less
+    as A A.T = -A^2; s squarings follow. The output is returned as
+    computed, without re-orthogonalization. It feeds logm_so roundtrips
+    near pi, where the real eigh form of the geodesic flow in core is less
     accurate. Its orthogonality defect grows as eps ||A||, so A is refused
     with DomainError once that exceeds tol_struct(1), at ||A||_F above
     about 4.5e7.
@@ -214,12 +217,13 @@ def expm_skew(A: np.ndarray) -> np.ndarray:
         raise ValidationError(f"expm_skew: input not skew-symmetric (defect {defect:.3e})")
     if np.finfo(float).eps * A_norm > tol_struct(1):
         raise DomainError(f"expm_skew: norm {A_norm:.3e} too large to exponentiate accurately")
-    col = np.sqrt(np.max(np.einsum("ij,ij->j", A, A))) / _DEGREE_LIMITS[id(_EXP_COEFFS)][-1]
-    s = int(np.ceil(np.log2(col))) if col > 1.0 else 0
-    while (series := _sym_series(A * 0.5**s, _EXP_COEFFS)) is None:
+    Y = A @ A.T
+    rho, s = float(np.sqrt(np.linalg.norm(Y, 1))), 0
+    while rho * 0.5**s > _DEGREE_LIMITS[id(_EXP_COEFFS)][-1]:
         s += 1
-    _note("expm_skew", *(("squared", s) if s else ("series", series[2])))
-    return np.linalg.matrix_power(series[0], 2**s)
+    R, _, m = _sym_series(A * 0.5**s, _EXP_COEFFS, (Y * 0.25**s, rho * 0.5**s))
+    _note("expm_skew", *(("squared", s) if s else ("series", m)))
+    return np.linalg.matrix_power(R, 2**s)
 
 
 def logm_so(Q: np.ndarray) -> np.ndarray:

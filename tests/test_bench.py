@@ -5,6 +5,7 @@ import pytest
 
 from stiefel_retractions.bench import (
     ExperimentConfig,
+    _frame,
     convergence_slope,
     convergence_slopes,
     emit_report,
@@ -19,6 +20,10 @@ from stiefel_retractions.core import (
     BETA_CANONICAL,
     BETA_EUCLIDEAN,
     TangentVector,
+    _flow,
+    _geodesic,
+    _skew_block,
+    canonical_point,
     exp_beta,
     rand_point,
 )
@@ -248,6 +253,27 @@ class TestFrame:
         xi = TangentVector(U0, U0.U @ np.diag([0.3, 0.1, 0.0, 0.2]))
         with pytest.raises(ValidationError, match="not skew-symmetric"):
             error_curve((U0, xi, U0), KINDS, 5)
+
+    @pytest.mark.parametrize("n,p,distance", [(40, 8, np.pi / 2), (12, 8, np.pi / 2), (20, 4, 0.0)],
+                             ids=["tall", "n_below_2p", "zero"])
+    def test_frame_coordinates_are_the_chart_at_E(self, n, p, distance):
+        # U is E in the frame, bit for bit, and xi is R[:, p:]: F maps them back to [U, Xi]
+        _, xi, _ = gen_triple(ExperimentConfig(n=n, p=p, distance=distance))
+        F, x = _frame(xi)
+        assert np.array_equal(x.base.U, canonical_point(min(n, 2 * p), p).U)
+        assert np.linalg.norm(F[:, :p] - xi.base.U) <= 1e-14
+        err = np.linalg.norm(F @ np.hstack([x.base.U, x.Xi]) - np.hstack([xi.base.U, xi.Xi]))
+        assert err <= 1e-14 * max(1.0, xi.norm)
+
+    @pytest.mark.parametrize("n,p", [(40, 8), (12, 8)])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.6])
+    def test_flow_in_frame_is_the_geodesic(self, n, p, beta):
+        # the chart coordinates' flow is F.T times the full-size factored geodesic
+        _, xi, _ = gen_triple(ExperimentConfig(n=n, p=p))
+        F, x = _frame(xi)
+        flow, geodesic = _flow(_skew_block(x), x.Xi[p:], beta), _geodesic(xi, beta)
+        for t in (0.0, 1e-3, 0.5, 1.0):
+            assert np.linalg.norm(flow(t) - F.T @ geodesic(t)) <= 1e-13 * np.sqrt(p), t
 
 
 class TestTiming:

@@ -124,8 +124,9 @@ def test_invalid_sizes_exit_one(tmp_path, capsys, monkeypatch, command, args, me
 
 
 def test_order_factors_each_geodesic_once(tmp_path, monkeypatch):
-    # one frame and one geodesic factorization per beta, shared by all kinds
-    calls = {"_frame": 0, "_geodesic": 0}
+    # one frame, the only factorization of xi, and one geodesic flow per beta,
+    # shared by all kinds
+    calls = {"_frame": 0, "_flow": 0}
     for name in calls:
         def counted(*args, _fn=getattr(bench, name), _name=name):
             calls[_name] += 1
@@ -133,7 +134,7 @@ def test_order_factors_each_geodesic_once(tmp_path, monkeypatch):
         monkeypatch.setattr(bench, name, counted)
     assert main(["order", *SMALL_ARGS, "--kinds", "pf,pl,pl_cayley",
                  "--out", str(tmp_path / "run")]) == 0
-    assert calls == {"_frame": 1, "_geodesic": 2}
+    assert calls == {"_frame": 1, "_flow": 2}
 
 
 @pytest.mark.parametrize("out", ["file", "file/run"])

@@ -97,6 +97,38 @@ class TestExpmSkew:
         assert np.linalg.norm(Q.T @ Q - np.eye(p)) <= matfun.tol_struct(p)
 
 
+def column_norm_expm_skew(A):
+    """expm_skew's former scaling search, with its route: _sym_series tried at each s in turn.
+
+    The search started at the least s whose largest column norm of A / 2^s
+    is within the series' reach, and each refused try cost one syrk.
+    """
+    limit = matfun._DEGREE_LIMITS[id(matfun._EXP_COEFFS)][-1]
+    col = np.sqrt(np.max(np.einsum("ij,ij->j", A, A))) / limit
+    s = int(np.ceil(np.log2(col))) if col > 1.0 else 0
+    while (series := matfun._sym_series(A * 0.5**s, matfun._EXP_COEFFS)) is None:
+        s += 1
+    route = ("squared", s) if s else ("series", series[2])
+    return np.linalg.matrix_power(series[0], 2**s), route
+
+
+class TestExpmSkewScaling:
+    @pytest.mark.parametrize("p,norm", [
+        *((p, norm) for p in (2, 7, 40)
+          for norm in (0.0, 1e-3, 0.5, 0.94, 0.95, 1.0, 3.0, 1e2, 1e4, 1e6)),
+        (100, 0.3), (100, 50.0), (400, 1.0), (400, 1e4)])
+    def test_one_bound_matches_the_column_norm_search(self, p, norm, routes):
+        # rho / 2^s and A A.T / 4^s are exact, so one syrk gives the same s, sum and route
+        A = random_skew(p, np.random.default_rng(p))
+        if norm:
+            A *= norm / np.linalg.norm(A, 2)
+        with routes() as log:
+            Q = expm_skew(A)
+        Q_old, route = column_norm_expm_skew(A)
+        assert np.array_equal(Q, Q_old)
+        assert log == [("expm_skew", *route)]
+
+
 class TestLogmSo:
     def test_identity(self):
         assert np.allclose(logm_so(np.eye(4)), np.zeros((4, 4)))

@@ -523,6 +523,13 @@ class TestFactoredCurve:
         for t in np.linspace(0.0, 1.0, 51):
             assert np.linalg.norm(curve(t) - ret(xi.scaled(t)).U) <= 1e-13
 
+    @pytest.mark.parametrize("n, p", [(40, 8), (1000, 400)])
+    @pytest.mark.parametrize("kind", ["pf", "pl", "pl_cayley"])
+    def test_starts_at_the_base(self, kind, n, p):
+        # the increment form adds an exact zero to M = U at t = 0
+        xi = rand_tangent(rand_point(n, p, 1), np.pi / 2, 2)
+        assert np.array_equal(_curve(kind, xi)(0.0), xi.base.U)
+
     @pytest.mark.parametrize("kind", ["pf", "pl", "pl_cayley"])
     def test_refuses_where_the_public_map_does(self, kind):
         # a normal Xi of rank p - 1: cond(M.T M) = 1 + t^2 ||Xi||_2^2 passes
