@@ -8,17 +8,19 @@ retraction curve t -> R(t xi_R) on an equidistant grid in [0, 1]. The
 order experiment fits log deviation against log t for small t, per
 (kind, beta) row: a retraction and the metric parameter of its geodesic.
 
-Each experiment factors xi once, by the QR [U0, xi] = F R of _frame. In
-the 2p-dimensional frame F, U0 is E = [I; 0] and xi is R[:, p:] = [A; B]:
-the inverses run on (E, F.T U1), each beta's geodesic is core._flow(A, B,
-beta), and the QR and F.T U1 are the only n-sized work.
+Each experiment factors xi once, by core._frame: A = U0.T xi and the
+thin QR Q R = xi - U0 A. In the coordinates of the basis [U0 Q], U0 is E
+= [I; 0] in St(2p, p) and xi is [A; R]: each beta's geodesic is
+core._flow(A, R, beta), U1 is that flow's endpoint at beta = 1, and the
+inverses run on E and that endpoint. The QR and error_curve's check of U1
+against the endpoint are the only n-sized work.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,13 +32,13 @@ from .core import (
     TangentVector,
     _check_sizes,
     _flow,
-    _skew_block,
+    _frame,
     canonical_point,
     exp_beta,
     rand_point,
     rand_tangent,
 )
-from .matfun import ValidationError
+from .matfun import ValidationError, tol_struct
 from .retractions import RETRACTION_PAIRS, _curve
 
 DEFAULT_DISTANCE = np.pi / 2
@@ -110,40 +112,15 @@ def gen_triple(cfg: ExperimentConfig) -> tuple[StiefelPoint, TangentVector, Stie
     return xi.base, xi, exp_beta(xi, BETA_EUCLIDEAN)
 
 
-def _frame(xi: TangentVector) -> tuple[np.ndarray, TangentVector]:
-    """F from the reduced QR [U, Xi] = F R, and xi in its coordinates: (E, R[:, p:]).
-
-    F is n-by-min(n, 2p) and orthonormal whatever the rank of [U, Xi]. U
-    is orthonormal, so R[:p, :p] is diag(+-1) to rounding; with those signs
-    flipped in F and R, F[:, :p] = U to rounding, U is E =
-    canonical_point(min(n, 2p), p) in F and Xi is R[:, p:] = [A; B], A =
-    U.T Xi. F's span holds the geodesic t -> Exp_beta(t xi) for every beta,
-    U1 = Exp(xi) and every inverse retraction of (U, U1). The maps commute
-    with F: R(F eta) = F R(eta) and R^-1(F V0, F V1) = F R^-1(V0, V1), as
-    each multiplies its n-by-p arguments by p-by-p matrices and decomposes
-    only their p-by-p Gram and cross products. F.T keeps Frobenius norms,
-    so deviations in the frame are those of the full-size curves up to
-    roundoff.
-    """
-    p = xi.base.p
-    F, R = np.linalg.qr(np.hstack([xi.base.U, xi.Xi]))
-    signs = np.sign(np.diagonal(R)[:p])
-    F[:, :p] *= signs
-    R[:p] *= signs[:, None]
-    return F, TangentVector(canonical_point(F.shape[1], p), R[:, p:])
-
-
-def _deviations(x: TangentVector, rows: list[tuple[str, float]],
+def _deviations(geodesics: dict[float, Callable], rows: list[tuple[str, float]],
                 curves: dict[str, TangentVector], ts) -> dict[tuple[str, float], list[float]]:
-    """||Exp_beta(t x) - R_kind(t curves[kind])||_F over ts, per (kind, beta) row, in row order.
+    """||geodesics[beta](t) - R_kind(t curves[kind])||_F over ts, per (kind, beta) row.
 
-    x and every curve tangent are frame coordinates from _frame, at E. Each
-    distinct beta's geodesic (core._flow of x = [A; B]) and each kind's
-    retraction curve (retractions._curve) is factored once and evaluated
-    once per t.
+    The geodesics are core._flow's in the coordinates [A; R] of core._frame,
+    and every curve tangent is at E = canonical_point(2p, p). Each kind's
+    retraction curve (retractions._curve) is factored once, and every curve
+    and geodesic is evaluated once per t.
     """
-    A, B = _skew_block(x), x.Xi[x.base.p:]
-    geodesics = {beta: _flow(A, B, beta) for beta in dict.fromkeys(beta for _, beta in rows)}
     retracted = {kind: _curve(kind, c) for kind, c in curves.items()}
     out: dict[tuple[str, float], list[float]] = {row: [] for row in rows}
     for t in ts:
@@ -161,16 +138,25 @@ def error_curve(
 ) -> list[ErrorCurveRecord]:
     """Per-step deviations between the geodesic and each retraction curve.
 
-    U1 is pulled back in the frame of _frame: each inverse runs on
-    (E, F.T U1).
+    Each inverse runs on (E, V1), V1 the endpoint of the geodesic's flow in
+    core._frame's coordinates. U0 and U1 are read only to refuse, with
+    ValidationError, a U0 other than xi's base or a U1 farther than
+    tol_struct(p) from Exp(xi) = basis @ V1.
     """
     _check_experiment(kinds, steps)
     U0, xi, U1 = triple
-    F, x = _frame(xi)
-    V1 = StiefelPoint(F.T @ U1.U)
-    curves = {kind: RETRACTION_PAIRS[kind][1](x.base, V1) for kind in kinds}
+    if U0 is not xi.base and not np.array_equal(U0.U, xi.base.U):
+        raise ValidationError("error_curve: U0 is not the base point of xi")
+    basis, A, R = _frame(xi)
+    geodesic = _flow(A, R, BETA_EUCLIDEAN)
+    V1 = StiefelPoint(geodesic(1.0))
+    miss = np.linalg.norm(U1.U - basis @ V1.U) if U1.U.shape == U0.U.shape else np.inf
+    if miss > tol_struct(xi.base.p):
+        raise ValidationError(f"error_curve: U1 is not Exp_U0(xi) (miss {miss:.3e})")
+    E = canonical_point(*V1.U.shape)
+    curves = {kind: RETRACTION_PAIRS[kind][1](E, V1) for kind in kinds}
     ts = [k / (steps - 1) for k in range(steps)]
-    devs = _deviations(x, [(kind, BETA_EUCLIDEAN) for kind in kinds], curves, ts)
+    devs = _deviations({BETA_EUCLIDEAN: geodesic}, [(k, BETA_EUCLIDEAN) for k in kinds], curves, ts)
     return [ErrorCurveRecord(t, {kind: devs[kind, BETA_EUCLIDEAN][i] for kind in kinds})
             for i, t in enumerate(ts)]
 
@@ -206,9 +192,11 @@ def convergence_slopes(
     if big == 0:
         raise ValidationError("convergence_slopes: tangent is zero, so it has no step length")
     X = xi.Xi / big
-    x = _frame(TangentVector(xi.base, X / np.linalg.norm(X)))[1]
-    devs = _deviations(x, rows, dict.fromkeys(kinds, x), _ORDER_T_GRID)
-    log_t, floor = np.log(_ORDER_T_GRID), _ROUNDING * np.sqrt(x.base.p)
+    _, A, R = _frame(TangentVector(xi.base, X / np.linalg.norm(X)))
+    x = TangentVector(canonical_point(2 * xi.base.p, xi.base.p), np.vstack([A, R]))
+    geodesics = {beta: _flow(A, R, beta) for beta in dict.fromkeys(beta for _, beta in rows)}
+    devs = _deviations(geodesics, rows, dict.fromkeys(kinds, x), _ORDER_T_GRID)
+    log_t, floor = np.log(_ORDER_T_GRID), _ROUNDING * np.sqrt(xi.base.p)
     return {row: float(np.polyfit(log_t, np.log(d), 1)[0]) if min(d) > floor else np.nan
             for row, d in devs.items()}
 

@@ -5,8 +5,9 @@ tangent vector at U is an n-by-p matrix Xi with U.T @ Xi skew-symmetric;
 writing Xi = U A + U_perp B, the p-by-p skew block A and the
 (n-p)-by-p block B carry the independent parameters.
 
-The exponential exp_beta is the factored geodesic _geodesic at t = 1;
-both skew flows under it come from one real symmetric eigh each.
+_frame is the one factorization of a tangent, and exp_beta is its basis
+times _flow at t = 1; both skew flows under it come from one real
+symmetric eigh each.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ def inner(xi: TangentVector, eta: TangentVector, beta: float = BETA_EUCLIDEAN) -
 def exp_beta(xi: TangentVector, beta: float = BETA_EUCLIDEAN) -> StiefelPoint:
     """Riemannian exponential for the one-parameter metric family.
 
-    The geodesic of _geodesic at t = 1: O(n p^2) work, one real eigh of a
+    [U Q] _flow(A, R, beta)(1) from _frame: O(n p^2) work, one real eigh of a
     2p-by-2p and one of a p-by-p symmetric matrix. Raises ValidationError
     when Xi is not tangent or beta is not positive and finite, and
     DomainError when the result misses orthonormality by more than
@@ -188,7 +189,8 @@ def exp_beta(xi: TangentVector, beta: float = BETA_EUCLIDEAN) -> StiefelPoint:
     angle error of up to sqrt(eps) ||S||, which can pass that bound from
     about ||Xi||_F = 1e5 on.
     """
-    Y = _geodesic(xi, beta)(1.0)
+    basis, A, R = _frame(xi)
+    Y = basis @ _flow(A, R, beta)(1.0)
     defect = np.linalg.norm(Y.T @ Y - np.eye(xi.base.p))
     if defect > tol_struct(xi.base.p):
         raise DomainError(
@@ -223,8 +225,8 @@ def _skew_flow(S: np.ndarray, k: int) -> Callable[[float], np.ndarray]:
 def _flow(A: np.ndarray, R: np.ndarray, beta: float) -> Callable[[float], np.ndarray]:
     """t -> exp(t L)[:, :p] exp(t (1 - 2 beta) A), L = [[2 beta A, -R.T], [R, 0]].
 
-    For A = U.T Xi and any orthonormal Q with U.T Q = 0 and Q R = Xi - U A,
-    [U Q] times this is Exp_beta(t xi) (Edelman, Arias & Smith, 1998). Both
+    For A = U.T Xi and the thin QR Q R = Xi - U A of _frame, [U Q] times
+    this is Exp_beta(t xi) (Edelman, Arias & Smith, 1998). Both
     flows are factored once, the second only when 1 - 2 beta is not 0.
     """
     _check_beta(beta)
@@ -236,13 +238,15 @@ def _flow(A: np.ndarray, R: np.ndarray, beta: float) -> Callable[[float], np.nda
     return lambda t: head(t) @ twist(t)
 
 
-def _geodesic(xi: TangentVector, beta: float) -> Callable[[float], np.ndarray]:
-    """t -> Exp_beta(t xi) as an n-by-p array, factored once for all t.
+def _frame(xi: TangentVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(basis, A, R): A = U.T Xi, the thin QR Q R = Xi - U A and basis = [U Q].
 
-    [U Q] _flow(A, R, beta) with A = U.T Xi and the thin QR Q R = Xi - U A.
+    basis @ _flow(A, R, beta)(t) is Exp_beta(t xi). [U Q] is not orthonormal
+    when Xi - U A is rank-deficient, but it keeps the norm of every [a; R b],
+    as Q R b = (Xi - U A) b is orthogonal to U; every column that _flow, the
+    inverses and the retraction curves form from E = [I_p; 0] and [A; R] is
+    such a vector.
     """
     A = _skew_block(xi)
     Q, R = np.linalg.qr(xi.Xi - xi.base.U @ A)
-    basis = np.hstack([xi.base.U, Q])
-    flow = _flow(A, R, beta)
-    return lambda t: basis @ flow(t)
+    return np.hstack([xi.base.U, Q]), A, R

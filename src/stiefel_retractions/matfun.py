@@ -299,6 +299,13 @@ def _invsqrt_series(S: np.ndarray) -> tuple[np.ndarray, float, int] | None:
     return (0.5 / np.sqrt(mu)) * (R + R.T), float(np.sqrt(mu * (1.0 - rho))), m
 
 
+def _check_spd_condition(w_min: float, w_max: float) -> None:
+    """Refuse, with DomainError, an SPD inverse square root whose error eps w_max / w_min
+    passes tol_struct(1), for the matrix's extreme eigenvalues w_min and w_max."""
+    if np.finfo(float).eps * w_max > tol_struct(1) * w_min:
+        raise DomainError(f"invsqrtm_spd: condition number {w_max / w_min:.3e} too large")
+
+
 def invsqrtm_spd(S: np.ndarray) -> np.ndarray:
     """Inverse square root of a symmetric positive definite matrix.
 
@@ -324,8 +331,7 @@ def invsqrtm_spd(S: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"invsqrtm_spd: input not positive definite (smallest eigenvalue {w[0]:.3e})"
         )
-    if np.finfo(float).eps * w[-1] > tol_struct(1) * w[0]:
-        raise DomainError(f"invsqrtm_spd: condition number {w[-1] / w[0]:.3e} too large")
+    _check_spd_condition(w[0], w[-1])
     Y = V * w**-0.25
     return Y @ Y.T
 

@@ -103,13 +103,14 @@ def _curve(kind: str, xi: TangentVector) -> Callable[[float], np.ndarray]:
     M = U + t Xi (PF) or M = U twist(t A) + t P (PL, PL-Cayley). A is skew
     and U.T P = 0, so M.T M = I + t^2 G with G = Xi.T Xi or P.T P, and one
     eigh G = W diag(lam) W.T gives M (M.T M)^(-1/2) = M W diag((1 + t^2
-    lam)^(-1/2)) W.T at every t (Higham, 1986), as core._geodesic factors
-    the geodesic. While t^2 lam <= 1 the factor (M.T M)^(-1/2) is formed as
-    I + W diag(delta) W.T, delta = (1 + t^2 lam)^(-1/2) - 1 written without
-    cancellation, so the curve is exactly U at t = 0; above, that increment
-    would cancel. The twist is the kind's public map, looked up at call
-    time. ValidationError when Xi is not tangent; DomainError wherever the
-    twist or invsqrtm_spd would refuse, the latter by its own test on the
+    lam)^(-1/2)) W.T at every t (Higham, 1986), as core._frame and
+    core._flow factor the geodesic. While t^2 lam <= 1 the factor
+    (M.T M)^(-1/2) is formed as I + W diag(delta) W.T, delta = (1 + t^2
+    lam)^(-1/2) - 1 written without cancellation, so the curve is exactly U
+    at t = 0; above, that increment would cancel. The twist is the kind's
+    public map, looked up at call time. ValidationError when Xi is not
+    tangent; DomainError wherever the twist or invsqrtm_spd would refuse,
+    the latter by its condition test, matfun._check_spd_condition, on the
     eigenvalues 1 + t^2 lam of M.T M.
     """
     U = xi.base.U
@@ -122,8 +123,7 @@ def _curve(kind: str, xi: TangentVector) -> Callable[[float], np.ndarray]:
     def at(t: float) -> np.ndarray:
         M = (U if twist is None else U @ twist(t * A)) + t * N
         d = 1.0 + t * t * lam
-        if np.finfo(float).eps * d[-1] > matfun.tol_struct(1) * d[0]:
-            raise DomainError(f"invsqrtm_spd: condition number {d[-1] / d[0]:.3e} too large")
+        matfun._check_spd_condition(d[0], d[-1])
         if t * t * lam[-1] > 1.0:
             return M @ ((W * d**-0.5) @ W.T)
         delta = -t * t * lam / (np.sqrt(d) * (1.0 + np.sqrt(d)))

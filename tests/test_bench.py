@@ -5,7 +5,6 @@ import pytest
 
 from stiefel_retractions.bench import (
     ExperimentConfig,
-    _frame,
     convergence_slope,
     convergence_slopes,
     emit_report,
@@ -21,9 +20,8 @@ from stiefel_retractions.core import (
     BETA_EUCLIDEAN,
     TangentVector,
     _flow,
-    _geodesic,
+    _frame,
     _skew_block,
-    canonical_point,
     exp_beta,
     rand_point,
 )
@@ -36,10 +34,13 @@ SMALL = dict(n=40, p=8, seed=3, steps=11)
 KINDS = ("pf", "pl", "pl_cayley")
 # The rows stiefel-bench order reports: every kind at beta = 1, and pl at beta = 1/2.
 ORDER_ROWS = [*((kind, BETA_EUCLIDEAN) for kind in KINDS), ("pl", BETA_CANONICAL)]
+# core._frame where Xi - U A has full column rank, where n < 2p, and at Xi = 0.
+FRAME_CASES = [(40, 8, np.pi / 2), (12, 8, np.pi / 2), (20, 4, 0.0)]
 UNKNOWN_QR = r"unknown retraction kinds: \['qr'\]"
-# error_curve and convergence_slope work in a 2p-dimensional frame, which
-# changes only their rounding: against the full-size reference below the
-# deviations differ by at most ~1.2e-14 and the slopes by ~1.2e-6.
+# error_curve and convergence_slope work in the 2p-dimensional coordinates
+# [A; R] of core._frame, which changes only their rounding: against the
+# full-size reference below the deviations differ by at most ~1.2e-14 and
+# the slopes by ~1.2e-6.
 DEVIATION_TOL = 1e-13
 SLOPE_TOL = 1e-5
 
@@ -166,6 +167,19 @@ class TestErrorCurve:
         assert set(m) == {"pf", "pl"}
         assert all(v > 0 for v in m.values())
 
+    def test_rejects_an_endpoint_off_the_geodesic(self):
+        # U1 is read only to check it: the pullbacks start from the geodesic's own endpoint
+        U0, xi, U1 = gen_triple(ExperimentConfig(**SMALL))
+        for endpoint in (U0, rand_point(40, 8, 1), rand_point(12, 8, 1)):
+            with pytest.raises(ValidationError, match="U1 is not Exp_U0"):
+                error_curve((U0, xi, endpoint), KINDS, 5)
+        assert len(error_curve((U0, xi, U1), KINDS, 5)) == 5
+
+    def test_rejects_a_base_other_than_the_tangents(self):
+        U0, xi, U1 = gen_triple(ExperimentConfig(**SMALL))
+        with pytest.raises(ValidationError, match="U0 is not the base point of xi"):
+            error_curve((rand_point(40, 8, 1), xi, U1), KINDS, 5)
+
 
 class TestConvergenceSlope:
     def test_second_order_euclidean(self):
@@ -213,10 +227,10 @@ class TestDeviationReference:
 
 
 class TestFrame:
-    """The 2p-dimensional frame where it is square or rank-deficient."""
+    """core._frame's coordinates, also where its basis [U Q] is not orthonormal."""
 
     def test_error_curve_n_below_2p(self):
-        # [U, Xi] is 12-by-16: the frame is square, and [U Q] would not be orthonormal
+        # Xi - U A has rank n - p = 4 < p, so the basis [U Q] is not orthonormal
         assert_matches_reference(gen_triple(ExperimentConfig(n=12, p=8, seed=0)), KINDS, 11)
 
     @pytest.mark.parametrize("kind", ["pf", "pl", "pl_cayley"])
@@ -254,26 +268,28 @@ class TestFrame:
         with pytest.raises(ValidationError, match="not skew-symmetric"):
             error_curve((U0, xi, U0), KINDS, 5)
 
-    @pytest.mark.parametrize("n,p,distance", [(40, 8, np.pi / 2), (12, 8, np.pi / 2), (20, 4, 0.0)],
-                             ids=["tall", "n_below_2p", "zero"])
-    def test_frame_coordinates_are_the_chart_at_E(self, n, p, distance):
-        # U is E in the frame, bit for bit, and xi is R[:, p:]: F maps them back to [U, Xi]
+    @pytest.mark.parametrize("n,p,distance", FRAME_CASES, ids=["tall", "n_below_2p", "zero"])
+    def test_frame_is_the_thin_qr_of_the_normal_part(self, n, p, distance):
+        # one factorization: the skew block bit for bit, R triangular, and basis [U Q]
         _, xi, _ = gen_triple(ExperimentConfig(n=n, p=p, distance=distance))
-        F, x = _frame(xi)
-        assert np.array_equal(x.base.U, canonical_point(min(n, 2 * p), p).U)
-        assert np.linalg.norm(F[:, :p] - xi.base.U) <= 1e-14
-        err = np.linalg.norm(F @ np.hstack([x.base.U, x.Xi]) - np.hstack([xi.base.U, xi.Xi]))
+        basis, A, R = _frame(xi)
+        assert np.array_equal(A, _skew_block(xi))
+        assert np.array_equal(R, np.triu(R)) and R.shape == (p, p)
+        assert np.array_equal(basis[:, :p], xi.base.U) and basis.shape == (n, 2 * p)
+        err = np.linalg.norm(basis[:, p:] @ R - (xi.Xi - xi.base.U @ A))
         assert err <= 1e-14 * max(1.0, xi.norm)
 
-    @pytest.mark.parametrize("n,p", [(40, 8), (12, 8)])
+    @pytest.mark.parametrize("n,p,distance", [pytest.param(*case, id=name) for case, name in
+                                              zip(FRAME_CASES, ["40-8", "12-8", "zero"])])
     @pytest.mark.parametrize("beta", [0.5, 1.0, 1.6])
-    def test_flow_in_frame_is_the_geodesic(self, n, p, beta):
-        # the chart coordinates' flow is F.T times the full-size factored geodesic
-        _, xi, _ = gen_triple(ExperimentConfig(n=n, p=p))
-        F, x = _frame(xi)
-        flow, geodesic = _flow(_skew_block(x), x.Xi[p:], beta), _geodesic(xi, beta)
+    def test_flow_in_frame_is_the_geodesic(self, n, p, distance, beta):
+        # [U Q] is not orthonormal at n < 2p or xi = 0, yet it maps the flow onto the geodesic
+        _, xi, _ = gen_triple(ExperimentConfig(n=n, p=p, distance=distance))
+        basis, A, R = _frame(xi)
+        flow = _flow(A, R, beta)
         for t in (0.0, 1e-3, 0.5, 1.0):
-            assert np.linalg.norm(flow(t) - F.T @ geodesic(t)) <= 1e-13 * np.sqrt(p), t
+            ref = exp_beta_full_completion(xi.base.U, t * xi.Xi, beta)
+            assert np.linalg.norm(basis @ flow(t) - ref) <= 1e-13 * np.sqrt(p), t
 
 
 class TestTiming:

@@ -124,8 +124,8 @@ def test_invalid_sizes_exit_one(tmp_path, capsys, monkeypatch, command, args, me
 
 
 def test_order_factors_each_geodesic_once(tmp_path, monkeypatch):
-    # one frame, the only factorization of xi, and one geodesic flow per beta,
-    # shared by all kinds
+    # one core._frame, the only factorization of xi, and one geodesic flow per
+    # beta, shared by all kinds
     calls = {"_frame": 0, "_flow": 0}
     for name in calls:
         def counted(*args, _fn=getattr(bench, name), _name=name):
