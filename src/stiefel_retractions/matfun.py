@@ -14,7 +14,8 @@ the degree that the smaller of two certified bounds on ||X||_2 needs.
 solve_pf_sylvester sums a Stein series by squared Smith doubling in place
 of its Newton iteration when ||I - C||_2 is provably small. Both routes
 take their proof from _norm_bound; expm_skew forms that bound once, before
-it scales A. _inv is the only direct LAPACK call.
+it scales A. Every kernel runs in real arithmetic, and _inv, the only
+direct LAPACK call, is scipy's only use.
 """
 
 from __future__ import annotations
@@ -37,12 +38,12 @@ class DomainError(ValueError):
 # Rotation angles above pi - ANGLE_GUARD are rejected by the principal log.
 ANGLE_GUARD = 1e-6
 
-# logm_so sends rotation angles from 2 rad up to complex Schur, split off at
-# an eigenvalue gap of at least _SPLIT_GAP: the split's error is ~1e-15/gap.
-# The cut sits 1e-10 above cos 2 in C's spectrum, so that eigh's rounding
-# (~1e-15) cannot move a plane at exactly 2 rad out of the block.
+# logm_so logs rotation angles from 2 rad up through -Q, on a block cut off at
+# C's widest eigenvalue gap at angles from pi/2 to 2 rad: the cut's error is
+# ~1e-15/gap, and the log through -Q loses digits as a block angle goes to 0.
+# The block starts 1e-10 above cos 2 in C's spectrum, so that eigh's rounding
+# (~1e-15) cannot move a plane at exactly 2 rad out of it.
 _EIGH_MAX_ANGLE = 2.0
-_SPLIT_GAP = 1e-2
 
 
 # Largest Frobenius defect accepted for orthonormality, skewness or symmetry.
@@ -57,7 +58,7 @@ _MAX_NORM = np.finfo(float).max ** 0.25 / 4
 
 # While set to a list, each kernel appends (kernel, route, size) as it commits to
 # a route, before any work that can raise; size is a series' degree m, logm_so's
-# Schur block or _inv's p.
+# block or _inv's p.
 _ROUTES: contextvars.ContextVar[list | None] = contextvars.ContextVar("_ROUTES", default=None)
 
 
@@ -235,47 +236,52 @@ def logm_so(Q: np.ndarray) -> np.ndarray:
     (Gallier & Xu, 2002). When every angle is below about 0.66 rad,
     _sym_series sums phi as a series in Y = (I - C)/2, of eigenvalues
     sin^2(theta/2), and neither refusal below can apply. Otherwise one
-    real symmetric eigh of C splits Q in two. The rest, with eigenvectors
-    Vb, is logged from the complex Schur form of the small block Vb.T Q Vb,
-    which stays accurate up to the branch boundary. The split moves up to
-    the next wide gap in C's spectrum, so it never cuts a rotation plane.
-    The result is exactly skew.
+    real symmetric eigh of C splits Q in two. The rest, the block with
+    eigenvectors Vb and eigenvalues w_b, is logged through -Qb, Qb = Vb.T Q
+    Vb, which turns each plane by pi - theta and whose symmetric part is
+    -diag(w_b): the same formula gives L = log(-Qb) = -(Vb.T S Vb)
+    phi(-w_b), and log(Qb) = L - pi polar(L), with the polar factor from
+    one SVD of L, accurate up to the branch boundary. The cut sits at C's
+    widest eigenvalue gap at angles from pi/2 to 2 rad, so it never cuts a
+    rotation plane and keeps small angles, where L loses digits, out of
+    the block. The result is exactly skew.
 
     Raises DomainError, decided on the block, when a rotation angle
-    reaches pi; this also catches det(Q) = -1, whose eigenvalue -1 always
-    lands in the block.
+    reaches pi - ANGLE_GUARD: sigma_min(L) = pi - theta_max. This also
+    catches det(Q) = -1, whose eigenvalue -1 always lands in the block and
+    leaves L a zero singular value.
     """
     Q = _check_square(Q, "Q")
     p = Q.shape[0]
     defect = np.linalg.norm(Q.T @ Q - np.eye(p))
     if defect > tol_struct(p):
         raise ValidationError(f"logm_so: input not orthogonal (defect {defect:.3e})")
-    C = 0.5 * (Q + Q.T)
+    C, S = 0.5 * (Q + Q.T), 0.5 * (Q - Q.T)
     Y = -0.5 * C
     Y.flat[:: p + 1] += 0.5
     series = _sym_series(Y, _THETA_OVER_SIN_COEFFS)
     if series is not None:
         _note("logm_so", "series", series[2])
-        A = (0.5 * (Q - Q.T)) @ series[0]
+        A = S @ series[0]
         return 0.5 * (A - A.T)
     w, V = np.linalg.eigh(C)
     k = np.searchsorted(w, np.cos(_EIGH_MAX_ANGLE) + 1e-10, side="right")
-    if k:
-        k += np.argmax(np.append(np.diff(w[k - 1 :]) >= _SPLIT_GAP, True))
+    if k:  # the np.inf gap lets the block take all of Q when every angle is >= pi/2
+        k += np.argmax(np.diff(np.append(w, np.inf)[k - 1 : np.searchsorted(w, 0.0, "right") + 1]))
     _note("logm_so", "eigh", int(k))
     Va, Vb = V[:, k:], V[:, :k]
-    # phi = theta / sin(theta) at theta = arccos(w); np.sinc is exact at 0
-    phi = 1.0 / np.sinc(np.arccos(np.minimum(w[k:], 1.0)) / np.pi)
-    A = (0.5 * (Q - Q.T)) @ ((Va * phi) @ Va.T)
+    # phi = theta / sin(theta) at theta = arccos(w), and in the block at pi - theta =
+    # arccos(-w); np.sinc is exact at 0
+    phi = 1.0 / np.sinc(np.arccos(np.minimum(np.r_[-w[:k], w[k:]], 1.0)) / np.pi)
+    A = S @ ((Va * phi[k:]) @ Va.T)
     if k:
-        T, Z = scipy.linalg.schur(Vb.T @ Q @ Vb, output="complex")
-        theta = np.angle(np.diagonal(T))
-        if np.max(np.abs(theta)) > np.pi - ANGLE_GUARD:
+        L = -(Vb.T @ S @ Vb) * phi[:k]
+        M, s, Rt = np.linalg.svd(L)
+        if s[-1] < ANGLE_GUARD:
             raise DomainError(
                 "logm_so: rotation angle at or near pi, outside principal-log domain"
             )
-        W = Vb @ Z
-        A += ((W * (1j * theta)) @ W.conj().T).real
+        A += Vb @ (L - np.pi * (M @ Rt)) @ Vb.T
     return 0.5 * (A - A.T)
 
 
@@ -469,6 +475,12 @@ def _inv(M: np.ndarray, singular_message: str) -> np.ndarray:
     M ("rcond = 1e+17" on diag(1, 1e-17)), a RuntimeWarning and so an error
     under the tests' filter. Not np.linalg.solve with p right-hand sides: at
     p = 400 (OpenBLAS, 1 thread) cay takes 15-16 ms that way and 9-12 ms here.
+    Not np.linalg.inv, which solves against I (8/3 p^3 flops to dgetri's 2
+    p^3): pinned to one core and one OpenBLAS thread (2-core Xeon VM) it takes
+    0.29-0.33 ms against 0.19 ms here at p = 100, and 11.7-12.8 ms against
+    7.0-8.4 ms at p = 400. Swapped in here, it moved pf_inv's p75 on the
+    geodesic_edge benchmark's seed-1 edge pairs from 4.27-4.48 to 5.29-5.43
+    ms (+22-25%), over three rounds of 5 passes. This is scipy's only use.
     """
     _note("_inv", "lu", M.shape[0])
     lu, piv, info = scipy.linalg.lapack.dgetrf(M)

@@ -4,12 +4,17 @@ Every case must raise ValidationError or DomainError: no raw numpy or
 LAPACK exception, no silently broadcast result and no RuntimeWarning.
 The base point of every case lies on St(10, 3). The last sweep feeds
 genuine tangents of large norm instead: each map must return an
-orthonormal point or raise DomainError.
+orthonormal point or raise DomainError. A last check keeps scipy's use in
+the package to matfun._inv.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stiefel_retractions
 from stiefel_retractions.core import (
     TangentVector,
     check_point,
@@ -207,3 +212,36 @@ def test_genuine_tangent_orthonormal_or_refused(retract, n, p, norm):
         except DomainError:
             continue
         assert np.linalg.norm(Y.T @ Y - np.eye(p)) <= tol_struct(p), seed
+
+
+def scipy_uses(tree: ast.Module) -> set[str]:
+    """Where a module names scipy: "import" for a module-level import, else the
+    enclosing function's name, or "<module>" outside any function."""
+    uses = set()
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            names = [node.id] if isinstance(node, ast.Name) else []
+        if any(name.split(".")[0] == "scipy" for name in names):
+            is_import = where == "<module>" and isinstance(node, (ast.Import, ast.ImportFrom))
+            uses.add("import" if is_import else where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return uses
+
+
+def test_scipy_only_in_inv():
+    # _inv's dgetrf + dgetri beat np.linalg.inv (see its docstring); every
+    # other kernel runs on numpy alone
+    package = Path(stiefel_retractions.__file__).parent
+    uses = {(path.name, where) for path in sorted(package.glob("*.py"))
+            for where in scipy_uses(ast.parse(path.read_text()))}
+    assert uses == {("matfun.py", "import"), ("matfun.py", "_inv")}

@@ -5,6 +5,7 @@ import scipy.linalg
 from stiefel_retractions import matfun
 from stiefel_retractions.core import rand_point, rand_tangent
 from stiefel_retractions.matfun import (
+    ANGLE_GUARD,
     DomainError,
     ValidationError,
     cay,
@@ -159,21 +160,44 @@ class TestLogmSo:
     @pytest.mark.parametrize("p", [10, 100])
     @pytest.mark.parametrize("delta", [1e-1, 1e-2, 1e-3, 1e-4])
     def test_near_pi(self, p, delta):
-        # the plane at pi - delta is logged by complex Schur on its own block;
+        # the plane at pi - delta is logged through -Q on its own block;
         # the eigh formula would lose digits as 1/delta there
         rng = np.random.default_rng(p)
         A = skew_with_largest_angle(np.pi - delta, p, rng)
         assert np.linalg.norm(logm_so(expm_skew(A)) - A) <= 1e-12 * np.sqrt(p)
 
     def test_near_pi_cluster(self):
-        # five angles pi - j*1e-5: a full-size complex Schur of Q reaches
-        # 3.2e-10 on this input
+        # five angles pi - j*1e-5: 2.1e-11 at 1 OpenBLAS thread and 2.6e-11
+        # at 2; a complex Schur of the block read 1.8e-10 and 2.4e-10
         p, delta = 100, 1e-5
         rng = np.random.default_rng(p)
         angles = rng.uniform(0.0, np.pi / 2, p // 2)
         angles[:5] = np.pi - delta * np.arange(1, 6)
         A = skew_with_angles(angles, p, rng)
-        assert np.linalg.norm(logm_so(expm_skew(A)) - A) <= 3.2e-10
+        assert np.linalg.norm(logm_so(expm_skew(A)) - A) <= 1e-10
+
+    @pytest.mark.parametrize("p", [10, 100])
+    @pytest.mark.parametrize("delta", [2e-6, 1.1e-6, 9e-7, 5e-7])
+    def test_angle_guard(self, p, delta):
+        # the largest angle pi - delta on either side of pi - ANGLE_GUARD
+        rng = np.random.default_rng(p)
+        A = skew_with_largest_angle(np.pi - delta, p, rng)
+        Q = expm_skew(A)
+        if delta > ANGLE_GUARD:
+            assert np.linalg.norm(logm_so(Q) - A) <= 1e-12 * np.sqrt(p)
+        else:
+            with pytest.raises(DomainError, match="rotation angle at or near pi"):
+                logm_so(Q)
+
+    @pytest.mark.parametrize("p", [400, 800])
+    @pytest.mark.parametrize("lo", [1e-3, 1e-9])
+    def test_dense_spectrum(self, p, lo):
+        # p/2 evenly spaced angles from lo to pi - 0.01, so C's spectrum has no
+        # wide gap: a block reaching down to the small angles, which -Q turns
+        # by nearly pi, read errors up to 4.2
+        rng = np.random.default_rng(p)
+        A = skew_with_angles(np.linspace(lo, np.pi - 0.01, p // 2), p, rng)
+        assert np.linalg.norm(logm_so(expm_skew(A)) - A) <= 1e-12 * np.sqrt(p)
 
     @pytest.mark.parametrize("p", [10, 100])
     def test_near_zero_relative_accuracy(self, p):
@@ -225,7 +249,7 @@ class TestLogmSo:
 
     @pytest.mark.parametrize("theta_max", [1.0, 3.0])
     def test_exactly_skew(self, theta_max):
-        # theta_max = 3 also takes the Schur block
+        # theta_max = 3 also takes the block
         rng = np.random.default_rng(9)
         A = logm_so(expm_skew(skew_with_largest_angle(theta_max, 9, rng)))
         assert np.array_equal(A, -A.T)
@@ -238,6 +262,18 @@ class TestLogmSo:
         # det = -1 implies an eigenvalue at -1
         with pytest.raises(DomainError):
             logm_so(np.diag([-1.0, 1.0, 1.0]))
+
+    def test_rejects_reflection_in_block(self, routes):
+        # one vector of the 2.5 rad plane reflected: det = -1, and the eigenvalue
+        # -1 shares the block with the planes at 2.6 and 2.9 rad
+        rng = np.random.default_rng(11)
+        blocks = [planar_rotation(theta) for theta in (2.5, 2.6, 2.9, 1.0)]
+        blocks[0] = blocks[0] @ np.diag([-1.0, 1.0])
+        B = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+        Q = B @ scipy.linalg.block_diag(*blocks) @ B.T
+        with routes() as log, pytest.raises(DomainError, match="rotation angle at or near pi"):
+            logm_so(Q)
+        assert log == [("logm_so", "eigh", 5)]
 
     def test_rejects_non_orthogonal(self):
         with pytest.raises(ValidationError):
