@@ -13,7 +13,8 @@ thin QR Q R = xi - U0 A. In the coordinates of the basis [U0 Q], U0 is E
 = [I; 0] in St(2p, p) and xi is [A; R]: each beta's geodesic is
 core._flow(A, R, beta), U1 is that flow's endpoint at beta = 1, and the
 inverses run on E and that endpoint. The QR and error_curve's check of U1
-against the endpoint are the only n-sized work.
+against the endpoint are the only n-sized work. stiefel-bench curve calls
+_error_curve on xi alone, so it forms no U1 and factors xi once.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .core import (
     BETA_EUCLIDEAN,
     StiefelPoint,
     TangentVector,
+    _check_exp_defect,
     _check_sizes,
     _flow,
     _frame,
@@ -131,6 +133,31 @@ def _deviations(geodesics: dict[float, Callable], rows: list[tuple[str, float]],
     return out
 
 
+def _error_curve(xi: TangentVector, kinds: tuple[str, ...], steps: int,
+                 U1: StiefelPoint | None = None) -> list[ErrorCurveRecord]:
+    """error_curve from xi alone, for kinds and steps that ExperimentConfig accepts.
+
+    The endpoint V1 is refused with exp_beta's DomainError where exp_beta
+    would refuse Exp(xi) = basis @ V1, by core._check_exp_defect on V1. A
+    U1 that is given is only checked, with ValidationError, to lie within
+    tol_struct(p) of Exp(xi); it is never formed otherwise.
+    """
+    basis, A, R = _frame(xi)
+    geodesic = _flow(A, R, BETA_EUCLIDEAN)
+    V1 = StiefelPoint(geodesic(1.0))
+    _check_exp_defect(V1.U, xi)
+    if U1 is not None:
+        miss = np.linalg.norm(U1.U - basis @ V1.U) if U1.U.shape == xi.base.U.shape else np.inf
+        if miss > tol_struct(xi.base.p):
+            raise ValidationError(f"error_curve: U1 is not Exp_U0(xi) (miss {miss:.3e})")
+    E = canonical_point(*V1.U.shape)
+    curves = {kind: RETRACTION_PAIRS[kind][1](E, V1) for kind in kinds}
+    ts = [k / (steps - 1) for k in range(steps)]
+    devs = _deviations({BETA_EUCLIDEAN: geodesic}, [(k, BETA_EUCLIDEAN) for k in kinds], curves, ts)
+    return [ErrorCurveRecord(t, {kind: devs[kind, BETA_EUCLIDEAN][i] for kind in kinds})
+            for i, t in enumerate(ts)]
+
+
 def error_curve(
     triple: tuple[StiefelPoint, TangentVector, StiefelPoint],
     kinds: tuple[str, ...],
@@ -147,18 +174,7 @@ def error_curve(
     U0, xi, U1 = triple
     if U0 is not xi.base and not np.array_equal(U0.U, xi.base.U):
         raise ValidationError("error_curve: U0 is not the base point of xi")
-    basis, A, R = _frame(xi)
-    geodesic = _flow(A, R, BETA_EUCLIDEAN)
-    V1 = StiefelPoint(geodesic(1.0))
-    miss = np.linalg.norm(U1.U - basis @ V1.U) if U1.U.shape == U0.U.shape else np.inf
-    if miss > tol_struct(xi.base.p):
-        raise ValidationError(f"error_curve: U1 is not Exp_U0(xi) (miss {miss:.3e})")
-    E = canonical_point(*V1.U.shape)
-    curves = {kind: RETRACTION_PAIRS[kind][1](E, V1) for kind in kinds}
-    ts = [k / (steps - 1) for k in range(steps)]
-    devs = _deviations({BETA_EUCLIDEAN: geodesic}, [(k, BETA_EUCLIDEAN) for k in kinds], curves, ts)
-    return [ErrorCurveRecord(t, {kind: devs[kind, BETA_EUCLIDEAN][i] for kind in kinds})
-            for i, t in enumerate(ts)]
+    return _error_curve(xi, kinds, steps, U1)
 
 
 def max_errors(records: list[ErrorCurveRecord]) -> dict[str, float]:

@@ -20,11 +20,10 @@ from .bench import (
     DEFAULT_STEPS,
     _ROUNDING,
     ExperimentConfig,
+    _error_curve,
     convergence_slopes,
     emit_report,
-    error_curve,
     gen_tangent,
-    gen_triple,
     max_errors,
     timing_runs,
 )
@@ -66,7 +65,8 @@ def _check_out(out: Path) -> None:
 
 
 def _run_curve(cfg: ExperimentConfig):
-    records = error_curve(gen_triple(cfg), cfg.kinds, cfg.steps)
+    """error_curve on gen_triple's xi, without forming its U1 = Exp(xi): one factorization of xi."""
+    records = _error_curve(gen_tangent(cfg), cfg.kinds, cfg.steps)
     maxima = max_errors(records)
     ok = True
     if "pf" in maxima and "pl" in maxima:

@@ -191,13 +191,22 @@ def exp_beta(xi: TangentVector, beta: float = BETA_EUCLIDEAN) -> StiefelPoint:
     """
     basis, A, R = _frame(xi)
     Y = basis @ _flow(A, R, beta)(1.0)
+    _check_exp_defect(Y, xi)
+    return StiefelPoint(Y)
+
+
+def _check_exp_defect(Y: np.ndarray, xi: TangentVector) -> None:
+    """Refuse, with exp_beta's DomainError, an Exp(xi) whose ||Y.T Y - I||_F passes tol_struct(p).
+
+    Y is exp_beta's output or, as ||Y.T Y - I||_F is the same there up to
+    rounding, its coordinates _flow(A, R, beta)(1) in _frame's basis.
+    """
     defect = np.linalg.norm(Y.T @ Y - np.eye(xi.base.p))
     if defect > tol_struct(xi.base.p):
         raise DomainError(
             f"exp_beta: tangent norm {xi.norm:.3e} too large to exponentiate accurately "
             f"(||Y.T Y - I||_F = {defect:.3e})"
         )
-    return StiefelPoint(Y)
 
 
 def _skew_flow(S: np.ndarray, k: int) -> Callable[[float], np.ndarray]:

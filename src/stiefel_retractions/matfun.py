@@ -196,6 +196,13 @@ def _sym_series(X: np.ndarray, coeffs: np.ndarray, bound: tuple[np.ndarray, floa
     return R, rho, m
 
 
+def _check_expm_norm(A_norm: float) -> None:
+    """Refuse, with DomainError, the exponential of a skew matrix of Frobenius norm A_norm
+    once its orthogonality defect, about eps A_norm, passes tol_struct(1)."""
+    if np.finfo(float).eps * A_norm > tol_struct(1):
+        raise DomainError(f"expm_skew: norm {A_norm:.3e} too large to exponentiate accurately")
+
+
 def expm_skew(A: np.ndarray) -> np.ndarray:
     """Exponential of a skew-symmetric matrix; the result is in SO(p).
 
@@ -216,8 +223,7 @@ def expm_skew(A: np.ndarray) -> np.ndarray:
     defect = np.linalg.norm(A + A.T)
     if defect > tol_struct(A.shape[0]) * A_norm:
         raise ValidationError(f"expm_skew: input not skew-symmetric (defect {defect:.3e})")
-    if np.finfo(float).eps * A_norm > tol_struct(1):
-        raise DomainError(f"expm_skew: norm {A_norm:.3e} too large to exponentiate accurately")
+    _check_expm_norm(A_norm)
     Y = A @ A.T
     rho, s = float(np.sqrt(np.linalg.norm(Y, 1))), 0
     while rho * 0.5**s > _DEGREE_LIMITS[id(_EXP_COEFFS)][-1]:

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from stiefel_retractions import bench, cli
+from stiefel_retractions import bench, cli, core, matfun, retractions
 from stiefel_retractions.cli import main
 from stiefel_retractions.core import BETA_CANONICAL, BETA_EUCLIDEAN
 
@@ -117,7 +117,7 @@ def test_invalid_dims_exit_nonzero(tmp_path):
 ], ids=["p0", "repeats0", "dist_nan", "kinds_comma", "kinds_empty", "n1_p1", "seed_negative",
         "order_dist0", "all_dist0", "kinds_repeated"])
 def test_invalid_sizes_exit_one(tmp_path, capsys, monkeypatch, command, args, message):
-    monkeypatch.setattr(cli, "error_curve", lambda *args: pytest.fail("curve ran before refusal"))
+    monkeypatch.setattr(cli, "_error_curve", lambda *args: pytest.fail("curve ran before refusal"))
     assert main([command, *args, "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not (tmp_path / "x").exists()
@@ -137,10 +137,33 @@ def test_order_factors_each_geodesic_once(tmp_path, monkeypatch):
     assert calls == {"_frame": 1, "_flow": 2}
 
 
+@pytest.mark.parametrize("command", ["curve", "order"])
+def test_experiments_run_no_matrix_function_per_step(tmp_path, monkeypatch, command):
+    # curve factors xi once, by core._frame, and forms no U1 = Exp(xi); the
+    # retraction curves take their twists from one SVD each, so neither
+    # command calls the public twist maps
+    frames, frame = [], bench._frame
+    monkeypatch.setattr(bench, "_frame", lambda xi: frames.append(xi) or frame(xi))
+    for module, name in ((bench, "exp_beta"), (core, "exp_beta"), (matfun, "expm_skew"),
+                         (matfun, "cay"), (retractions, "expm_skew"), (retractions, "cay")):
+        monkeypatch.setattr(module, name, lambda *args, _name=name: pytest.fail(f"{_name} ran"))
+    assert main([command, *SMALL_ARGS, "--kinds", "pf,pl,pl_cayley",
+                 "--out", str(tmp_path / "run")]) == 0
+    assert len(frames) == 1
+
+
+def test_curve_refuses_a_tangent_exp_beta_refuses(tmp_path, capsys):
+    # curve forms no Exp(xi), but checks the geodesic's endpoint as exp_beta
+    # checks its output; unchecked, the inverses would run on that endpoint
+    assert main(["curve", "--n", "50", "--p", "5", "--dist", "1e10", "--kinds", "pl,pl_cayley",
+                 "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.startswith("error: exp_beta: tangent norm 1.000e+10 too large")
+
+
 @pytest.mark.parametrize("out", ["file", "file/run"])
 def test_out_not_creatable_exits_one_before_any_experiment(tmp_path, capsys, monkeypatch, out):
     (tmp_path / "file").write_text("")
-    monkeypatch.setattr(cli, "error_curve", lambda *args: pytest.fail("experiment ran"))
+    monkeypatch.setattr(cli, "_error_curve", lambda *args: pytest.fail("experiment ran"))
     assert main(["curve", *SMALL_ARGS, "--out", str(tmp_path / out)]) == 1
     assert capsys.readouterr().err.startswith("error: cannot create output directory")
 

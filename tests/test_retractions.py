@@ -514,9 +514,12 @@ class TestFactoredCurve:
     """retractions._curve, the deviation experiments' retraction curve, is the public map."""
 
     @pytest.mark.parametrize("norm", [np.pi / 2, 10.0, 1e5])
-    @pytest.mark.parametrize("n, p", [(40, 8), (1000, 100)])
+    @pytest.mark.parametrize("n, p", [(40, 8), (1000, 100), (40, 7), (1000, 101), (60, 11)])
     @pytest.mark.parametrize("kind", ["pf", "pl", "pl_cayley"])
     def test_matches_public_map(self, kind, n, p, norm):
+        # at odd p, A = U.T Xi has a null direction, which an eigh of -A^2 in
+        # place of the twist's SVD can misplace: at (60, 11) and ||Xi||_F = 1e5
+        # that form misses this bound by 4.8e-13, where the SVD reads 6.5e-15
         ret = RETRACTION_PAIRS[kind][0]
         xi = rand_tangent(rand_point(n, p, 1), norm, 2)
         curve = _curve(kind, xi)
@@ -544,6 +547,17 @@ class TestFactoredCurve:
             assert np.linalg.norm(curve(t) - ret(xi.scaled(t)).U) <= 1e-13
         for at_one in (lambda: curve(1.0), lambda: ret(xi.scaled(1.0))):
             with pytest.raises(DomainError, match=r"condition number 2\.373e\+09 too large"):
+                at_one()
+        # Xi = U A with ||A||_F = 1e8: expm_skew refuses that norm, while cay
+        # and the normalizer, at cond(M.T M) of about 1e2, do not
+        S = np.random.default_rng(3).standard_normal((8, 8))
+        S -= S.T
+        xi = TangentVector(U0, U0.U @ (S * (1e8 / np.linalg.norm(S))))
+        for at_one in (lambda: _curve(kind, xi)(1.0), lambda: ret(xi)):
+            if kind == "pl":
+                with pytest.raises(DomainError, match=r"expm_skew: norm 1\.000e\+08 too large"):
+                    at_one()
+            else:
                 at_one()
 
     @pytest.mark.parametrize("kind", ["pf", "pl", "pl_cayley"])
