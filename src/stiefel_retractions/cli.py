@@ -27,7 +27,7 @@ from .bench import (
     max_errors,
     timing_runs,
 )
-from .core import BETA_CANONICAL, BETA_EUCLIDEAN
+from .core import BETA_CANONICAL, BETA_EUCLIDEAN, TangentVector
 from .matfun import DomainError, ValidationError
 
 
@@ -64,9 +64,9 @@ def _check_out(out: Path) -> None:
         )
 
 
-def _run_curve(cfg: ExperimentConfig):
-    """error_curve on gen_triple's xi, without forming its U1 = Exp(xi): one factorization of xi."""
-    records = _error_curve(gen_tangent(cfg), cfg.kinds, cfg.steps)
+def _run_curve(cfg: ExperimentConfig, xi: TangentVector):
+    """error_curve on xi, without forming its U1 = Exp(xi): one factorization of xi."""
+    records = _error_curve(xi, cfg.kinds, cfg.steps)
     maxima = max_errors(records)
     ok = True
     if "pf" in maxima and "pl" in maxima:
@@ -78,12 +78,12 @@ def _run_curve(cfg: ExperimentConfig):
     return records, ok
 
 
-def _run_order(cfg: ExperimentConfig):
+def _run_order(cfg: ExperimentConfig, xi: TangentVector):
     """Every kind's slope against the Euclidean geodesic, and pl's against the canonical one."""
     rows = [(kind, BETA_EUCLIDEAN) for kind in cfg.kinds]
     if "pl" in cfg.kinds:
         rows.append(("pl", BETA_CANONICAL))
-    return convergence_slopes(gen_tangent(cfg), rows)
+    return convergence_slopes(xi, rows)
 
 
 def main(argv=None) -> int:
@@ -101,10 +101,11 @@ def main(argv=None) -> int:
         _check_out(args.out)
         records = timings = slopes = None
         ok = True
+        xi = None if args.command == "timing" else gen_tangent(cfg)  # one draw for curve and order
         if args.command in ("order", "all"):  # first: it refuses a zero tangent
-            slopes = _run_order(cfg)
+            slopes = _run_order(cfg, xi)
         if args.command in ("curve", "all"):
-            records, ok = _run_curve(cfg)
+            records, ok = _run_curve(cfg, xi)
         if args.command in ("timing", "all"):
             timings = timing_runs(cfg, cfg.kinds)
         summary = emit_report(args.out, cfg, records, timings, slopes)

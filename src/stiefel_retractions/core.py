@@ -6,8 +6,9 @@ writing Xi = U A + U_perp B, the p-by-p skew block A and the
 (n-p)-by-p block B carry the independent parameters.
 
 _frame is the one factorization of a tangent, and exp_beta is its basis
-times _flow at t = 1; both skew flows under it come from one real
-symmetric eigh each.
+times _flow at t = 1. _skew_flow is the package's one closed form of a
+skew flow t -> f(t S), from one real symmetric eigh: both flows of the
+geodesic, and the retraction curves' twists, whose angle law it takes.
 """
 
 from __future__ import annotations
@@ -186,8 +187,8 @@ def exp_beta(xi: TangentVector, beta: float = BETA_EUCLIDEAN) -> StiefelPoint:
     when Xi is not tangent or beta is not positive and finite, and
     DomainError when the result misses orthonormality by more than
     tol_struct(p): the eigh of S.T S in _skew_flow errs by eps ||S||^2, an
-    angle error of up to sqrt(eps) ||S||, which can pass that bound from
-    about ||Xi||_F = 1e5 on.
+    angle error of up to sqrt(eps) ||S|| on a slowly turned plane, which can
+    pass that bound from about ||Xi||_F = 1e6 on, or 1e4 for Xi = U A at odd p.
     """
     basis, A, R = _frame(xi)
     Y = basis @ _flow(A, R, beta)(1.0)
@@ -209,24 +210,34 @@ def _check_exp_defect(Y: np.ndarray, xi: TangentVector) -> None:
         )
 
 
-def _skew_flow(S: np.ndarray, k: int) -> Callable[[float], np.ndarray]:
-    """t -> exp(t S)[:, :k] for a real skew S, from one real eigh of -S^2.
+def _exp_angles(t: float, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos(t w) - 1, sin(t w) / w): exp(t S) turns each plane of S by the angle t w."""
+    return -2.0 * np.sin(0.5 * t * w) ** 2, t * np.sinc(t * w / np.pi)
+
+
+def _skew_flow(S: np.ndarray, k: int, angles: Callable = _exp_angles) -> Callable[[float], np.ndarray]:
+    """t -> f(t S)[:, :k] for a real skew S, from one real eigh of -S^2.
 
     -S^2 = S.T S = V diag(w^2) V.T commutes with S, so (Gallier & Xu, 2002)
-    exp(t S) = V cos(t w) V.T + S V diag(sin(t w) / w) V.T. Written as
-    I + V diag(-2 sin^2(t w / 2)) V.T + ..., the small-t increment keeps
-    its relative accuracy; np.sinc is exact at w = 0, and at S = 0 the
-    flow is exactly I.
+    a map f that turns the plane of S turned at rate w by an angle phi
+    gives f(t S) = I + V diag(cos phi - 1) V.T + S V diag(sin phi / w) V.T,
+    whose two diagonals angles(t, w) returns: exp's by default. A skew S of
+    odd order is singular, so there the least w^2 is exactly 0, not the
+    eigh's eps ||S||^2, which would turn its null direction by up to
+    sqrt(eps) ||S||. The cos phi - 1 form keeps the small-t increment's
+    relative accuracy, and at S = 0 the flow is exactly I.
     """
     w2, V = np.linalg.eigh(S.T @ S)
+    if len(w2) % 2:
+        w2[0] = 0.0
     w = np.sqrt(np.maximum(w2, 0.0))
     SV = S @ V
     V_top = V[:k].T
     eye = np.eye(S.shape[0], k)
 
     def at(t: float) -> np.ndarray:
-        cos_minus_one = -2.0 * np.sin(0.5 * t * w) ** 2
-        return eye + (V * cos_minus_one + SV * (t * np.sinc(t * w / np.pi))) @ V_top
+        cos_minus_one, sin_over_w = angles(t, w)
+        return eye + (V * cos_minus_one + SV * sin_over_w) @ V_top
 
     return at
 

@@ -17,7 +17,7 @@ K = twist(A) - A, A = U.T Xi, for PL and PL-Cayley, which share one
 implementation; the chart at E = [I; 0] is the PL pair at E. All O(n)
 work is plain matrix-matrix multiplication; decompositions only touch
 p-by-p blocks. _curve factors a whole retraction curve t -> R(t xi),
-normalizer and twist, for the benchmark's deviation experiments.
+normalizer and twist (core._skew_flow), for the deviation experiments.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import matfun
-from .core import StiefelPoint, TangentVector, _skew_block, canonical_point
+from .core import StiefelPoint, TangentVector, _exp_angles, _skew_block, _skew_flow, canonical_point
 from .matfun import DomainError, ValidationError, cay, cay_inv, expm_skew, invsqrtm_spd, logm_so
 
 # Floor on the singular values of U0.T @ U1 below which the PL chart
@@ -96,32 +96,10 @@ def _pl_inv(base: StiefelPoint, U1: StiefelPoint, untwist: _Twist) -> TangentVec
     return TangentVector(base, Xi)
 
 
-def _twist_curve(kind: str, A: np.ndarray) -> Callable[[float], np.ndarray]:
-    """t -> twist(t A) for kind "pl" (expm_skew) or "pl_cayley" (cay), from one SVD of the skew A.
-
-    With A = U_a diag(s) V_a.T, A.T A = -A^2 = V_a diag(s^2) V_a.T, so for
-    any valid SVD the even powers of A sum to V_a diag(cos(t s)) V_a.T and
-    the odd ones to U_a diag(sin(t s)) V_a.T: exp(t A) = I + V_a diag(cos(t
-    s) - 1) V_a.T + U_a diag(sin(t s)) V_a.T. The Cayley transform is the
-    same with each angle y = t s mapped to phi = 2 atan(y / 2), whose cosine
-    and sine are rational in x = y / 2. Both forms avoid cancellation at
-    small t, so t = 0 gives I exactly, and each t costs one p-by-p product.
-    The exponential keeps expm_skew's refusal of a large ||t A||_F,
-    matfun._check_expm_norm; cay has none that a skew A can meet.
-    """
-    U_a, s, Vt = np.linalg.svd(A)
-    V, eye, norm = Vt.T, np.eye(len(s)), np.linalg.norm(A)
-
-    def at(t: float) -> np.ndarray:
-        if kind == "pl":
-            matfun._check_expm_norm(abs(t) * norm)
-            cos_minus_one, sin = -2.0 * np.sin(0.5 * t * s) ** 2, np.sin(t * s)
-        else:
-            x = 0.5 * t * s
-            cos_minus_one, sin = -2.0 * x * x / (1.0 + x * x), 2.0 * x / (1.0 + x * x)
-        return eye + (V * cos_minus_one + U_a * sin) @ Vt
-
-    return at
+def _cay_angles(t: float, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos phi - 1, sin phi / w): cay(t S) turns each plane of S by phi = 2 atan(t w / 2)."""
+    x2 = (0.5 * t * w) ** 2
+    return -2.0 * x2 / (1.0 + x2), t / (1.0 + x2)
 
 
 def _curve(kind: str, xi: TangentVector) -> Callable[[float], np.ndarray]:
@@ -135,20 +113,25 @@ def _curve(kind: str, xi: TangentVector) -> Callable[[float], np.ndarray]:
     core._flow factor the geodesic. While t^2 lam <= 1 the factor
     (M.T M)^(-1/2) is formed as I + W diag(delta) W.T, delta = (1 + t^2
     lam)^(-1/2) - 1 written without cancellation, so the curve is exactly U
-    at t = 0; above, that increment would cancel. The twist comes from one
-    SVD of A (_twist_curve). ValidationError when Xi is not tangent;
-    DomainError wherever the twist or invsqrtm_spd would refuse, the latter
-    by its condition test, matfun._check_spd_condition, on the eigenvalues
-    1 + t^2 lam of M.T M.
+    at t = 0; above, that increment would cancel. The twist is
+    core._skew_flow of A with exp's or cay's angles. ValidationError when Xi
+    is not tangent; DomainError wherever the public map would refuse: by
+    expm_skew's norm test, matfun._check_expm_norm (cay has none that a
+    skew A can meet), and invsqrtm_spd's condition test,
+    matfun._check_spd_condition, on the eigenvalues 1 + t^2 lam of M.T M.
     """
     U = xi.base.U
     A = _skew_block(xi)
-    twist = None if kind == "pf" else _twist_curve(kind, A)
+    angles = _exp_angles if kind == "pl" else _cay_angles
+    twist = None if kind == "pf" else _skew_flow(A, len(A), angles)
     N = xi.Xi if twist is None else xi.Xi - U @ A
     lam, W = np.linalg.eigh(N.T @ N)
     lam = np.maximum(lam, 0.0)
+    norm = np.linalg.norm(A)
 
     def at(t: float) -> np.ndarray:
+        if kind == "pl":
+            matfun._check_expm_norm(abs(t) * norm)
         M = (U if twist is None else U @ twist(t)) + t * N
         d = 1.0 + t * t * lam
         matfun._check_spd_condition(d[0], d[-1])

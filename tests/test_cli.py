@@ -140,8 +140,8 @@ def test_order_factors_each_geodesic_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("command", ["curve", "order"])
 def test_experiments_run_no_matrix_function_per_step(tmp_path, monkeypatch, command):
     # curve factors xi once, by core._frame, and forms no U1 = Exp(xi); the
-    # retraction curves take their twists from one SVD each, so neither
-    # command calls the public twist maps
+    # retraction curves take their twists from one core._skew_flow each, so
+    # neither command calls the public twist maps
     frames, frame = [], bench._frame
     monkeypatch.setattr(bench, "_frame", lambda xi: frames.append(xi) or frame(xi))
     for module, name in ((bench, "exp_beta"), (core, "exp_beta"), (matfun, "expm_skew"),
@@ -150,6 +150,14 @@ def test_experiments_run_no_matrix_function_per_step(tmp_path, monkeypatch, comm
     assert main([command, *SMALL_ARGS, "--kinds", "pf,pl,pl_cayley",
                  "--out", str(tmp_path / "run")]) == 0
     assert len(frames) == 1
+
+
+def test_all_draws_xi_once(tmp_path, monkeypatch):
+    # curve and order run on the same xi, so all draws it once for both
+    draws, draw = [], cli.gen_tangent
+    monkeypatch.setattr(cli, "gen_tangent", lambda cfg: draws.append(cfg) or draw(cfg))
+    assert main(["all", *SMALL_ARGS, "--repeats", "1", "--out", str(tmp_path / "run")]) == 0
+    assert len(draws) == 1
 
 
 def test_curve_refuses_a_tangent_exp_beta_refuses(tmp_path, capsys):

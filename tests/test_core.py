@@ -308,6 +308,16 @@ class TestFactoredGeodesic:
     def test_flow_of_zero_is_identity(self):
         assert np.array_equal(_skew_flow(np.zeros((5, 5)), 3)(0.7), np.eye(5, 3))
 
+    def test_odd_order_flow_at_large_norm(self):
+        # a skew S of odd order is singular: with the least eigenvalue of S.T S
+        # as the eigh returns it, about eps ||S||^2, in place of an exact 0, the
+        # flow at ||S||_F = 1e4 misses expm by 2.7e-9, where the exact 0 reads 9.2e-12
+        S = np.random.default_rng(3).standard_normal((11, 11))
+        S = (S - S.T) * (1e4 / np.linalg.norm(S - S.T))
+        flow = _skew_flow(S, 11)
+        for t in (0.5, 1.0):
+            assert np.linalg.norm(flow(t) - scipy.linalg.expm(t * S)) <= 1e-10, t
+
     def test_rejects_non_tangent(self):
         U0 = rand_point(20, 4, 0)
         with pytest.raises(ValidationError, match="not skew-symmetric"):

@@ -514,12 +514,13 @@ class TestFactoredCurve:
     """retractions._curve, the deviation experiments' retraction curve, is the public map."""
 
     @pytest.mark.parametrize("norm", [np.pi / 2, 10.0, 1e5])
-    @pytest.mark.parametrize("n, p", [(40, 8), (1000, 100), (40, 7), (1000, 101), (60, 11)])
+    @pytest.mark.parametrize("n, p", [(40, 8), (1000, 100), (40, 7), (1000, 101), (60, 11), (50, 13)])
     @pytest.mark.parametrize("kind", ["pf", "pl", "pl_cayley"])
     def test_matches_public_map(self, kind, n, p, norm):
-        # at odd p, A = U.T Xi has a null direction, which an eigh of -A^2 in
-        # place of the twist's SVD can misplace: at (60, 11) and ||Xi||_F = 1e5
-        # that form misses this bound by 4.8e-13, where the SVD reads 6.5e-15
+        # at odd p, A = U.T Xi is singular, and the twist's core._skew_flow sets
+        # the least eigenvalue of A.T A to exactly 0: left as the eigh returns
+        # it, the curve at ||Xi||_F = 1e5 misses this bound by 4.8e-13 at (60, 11)
+        # and 8.9e-13 at (50, 13), where the exact 0 reads 6.5e-15 and 8.1e-15
         ret = RETRACTION_PAIRS[kind][0]
         xi = rand_tangent(rand_point(n, p, 1), norm, 2)
         curve = _curve(kind, xi)
