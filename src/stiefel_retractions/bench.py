@@ -13,8 +13,8 @@ thin QR Q R = xi - U0 A. In the coordinates of the basis [U0 Q], U0 is E
 = [I; 0] in St(2p, p) and xi is [A; R]: each beta's geodesic is
 core._flow(A, R, beta), U1 is that flow's endpoint at beta = 1, and the
 inverses run on E and that endpoint. The QR and error_curve's check of U1
-against the endpoint are the only n-sized work. stiefel-bench curve calls
-_error_curve on xi alone, so it forms no U1 and factors xi once.
+against the endpoint are the only n-sized work. stiefel-bench curve passes
+U1 = None, so it forms no U1 and factors xi once.
 """
 
 from __future__ import annotations
@@ -133,15 +133,24 @@ def _deviations(geodesics: dict[float, Callable], rows: list[tuple[str, float]],
     return out
 
 
-def _error_curve(xi: TangentVector, kinds: tuple[str, ...], steps: int,
-                 U1: StiefelPoint | None = None) -> list[ErrorCurveRecord]:
-    """error_curve from xi alone, for kinds and steps that ExperimentConfig accepts.
+def error_curve(
+    triple: tuple[StiefelPoint, TangentVector, StiefelPoint | None],
+    kinds: tuple[str, ...],
+    steps: int = DEFAULT_STEPS,
+) -> list[ErrorCurveRecord]:
+    """Per-step deviations between the geodesic and each retraction curve.
 
-    The endpoint V1 is refused with exp_beta's DomainError where exp_beta
-    would refuse Exp(xi) = basis @ V1, by core._check_exp_defect on V1. A
-    U1 that is given is only checked, with ValidationError, to lie within
-    tol_struct(p) of Exp(xi); it is never formed otherwise.
+    Each inverse runs on (E, V1), V1 the endpoint of the geodesic's flow in
+    core._frame's coordinates; V1 is refused with exp_beta's DomainError
+    where exp_beta would refuse Exp(xi) = basis @ V1. U0 and U1 are read
+    only to refuse, with ValidationError, a U0 other than xi's base or a U1
+    farther than tol_struct(p) from Exp(xi). U1 may be None: then it is
+    neither formed nor checked.
     """
+    _check_experiment(kinds, steps)
+    U0, xi, U1 = triple
+    if U0 is not xi.base and not np.array_equal(U0.U, xi.base.U):
+        raise ValidationError("error_curve: U0 is not the base point of xi")
     basis, A, R = _frame(xi)
     geodesic = _flow(A, R, BETA_EUCLIDEAN)
     V1 = StiefelPoint(geodesic(1.0))
@@ -156,25 +165,6 @@ def _error_curve(xi: TangentVector, kinds: tuple[str, ...], steps: int,
     devs = _deviations({BETA_EUCLIDEAN: geodesic}, [(k, BETA_EUCLIDEAN) for k in kinds], curves, ts)
     return [ErrorCurveRecord(t, {kind: devs[kind, BETA_EUCLIDEAN][i] for kind in kinds})
             for i, t in enumerate(ts)]
-
-
-def error_curve(
-    triple: tuple[StiefelPoint, TangentVector, StiefelPoint],
-    kinds: tuple[str, ...],
-    steps: int = DEFAULT_STEPS,
-) -> list[ErrorCurveRecord]:
-    """Per-step deviations between the geodesic and each retraction curve.
-
-    Each inverse runs on (E, V1), V1 the endpoint of the geodesic's flow in
-    core._frame's coordinates. U0 and U1 are read only to refuse, with
-    ValidationError, a U0 other than xi's base or a U1 farther than
-    tol_struct(p) from Exp(xi) = basis @ V1.
-    """
-    _check_experiment(kinds, steps)
-    U0, xi, U1 = triple
-    if U0 is not xi.base and not np.array_equal(U0.U, xi.base.U):
-        raise ValidationError("error_curve: U0 is not the base point of xi")
-    return _error_curve(xi, kinds, steps, U1)
 
 
 def max_errors(records: list[ErrorCurveRecord]) -> dict[str, float]:

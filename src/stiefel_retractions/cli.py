@@ -15,14 +15,11 @@ import sys
 from pathlib import Path
 
 from .bench import (
-    DEFAULT_DISTANCE,
-    DEFAULT_REPEATS,
-    DEFAULT_STEPS,
     _ROUNDING,
     ExperimentConfig,
-    _error_curve,
     convergence_slopes,
     emit_report,
+    error_curve,
     gen_tangent,
     max_errors,
     timing_runs,
@@ -34,14 +31,14 @@ from .matfun import DomainError, ValidationError
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--n", type=int, default=1000, help="ambient dimension")
     p.add_argument("--p", type=int, default=400, help="frame size")
-    p.add_argument("--dist", type=float, default=DEFAULT_DISTANCE,
+    p.add_argument("--dist", type=float, default=ExperimentConfig.distance,
                    help="Frobenius norm of the generating tangent")
-    p.add_argument("--steps", type=int, default=DEFAULT_STEPS,
+    p.add_argument("--steps", type=int, default=ExperimentConfig.steps,
                    help="curve discretization steps")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kinds", type=str, default="pf,pl",
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+    p.add_argument("--kinds", type=str, default=",".join(ExperimentConfig.kinds),
                    help="comma-separated: pf, pl, pl_cayley")
-    p.add_argument("--repeats", type=int, default=DEFAULT_REPEATS,
+    p.add_argument("--repeats", type=int, default=ExperimentConfig.repeats,
                    help="timing repetitions")
     p.add_argument("--out", type=Path, default=Path("bench_out"),
                    help="output directory")
@@ -66,7 +63,7 @@ def _check_out(out: Path) -> None:
 
 def _run_curve(cfg: ExperimentConfig, xi: TangentVector):
     """error_curve on xi, without forming its U1 = Exp(xi): one factorization of xi."""
-    records = _error_curve(xi, cfg.kinds, cfg.steps)
+    records = error_curve((xi.base, xi, None), cfg.kinds, cfg.steps)
     maxima = max_errors(records)
     ok = True
     if "pf" in maxima and "pl" in maxima:

@@ -188,7 +188,8 @@ def exp_beta(xi: TangentVector, beta: float = BETA_EUCLIDEAN) -> StiefelPoint:
     DomainError when the result misses orthonormality by more than
     tol_struct(p): the eigh of S.T S in _skew_flow errs by eps ||S||^2, an
     angle error of up to sqrt(eps) ||S|| on a slowly turned plane, which can
-    pass that bound from about ||Xi||_F = 1e6 on, or 1e4 for Xi = U A at odd p.
+    pass that bound from about ||Xi||_F = 1e6 on; _skew_flow does not turn
+    null directions, so Xi = U A meets the same bound at odd p as at even.
     """
     basis, A, R = _frame(xi)
     Y = basis @ _flow(A, R, beta)(1.0)
@@ -221,16 +222,16 @@ def _skew_flow(S: np.ndarray, k: int, angles: Callable = _exp_angles) -> Callabl
     -S^2 = S.T S = V diag(w^2) V.T commutes with S, so (Gallier & Xu, 2002)
     a map f that turns the plane of S turned at rate w by an angle phi
     gives f(t S) = I + V diag(cos phi - 1) V.T + S V diag(sin phi / w) V.T,
-    whose two diagonals angles(t, w) returns: exp's by default. A skew S of
-    odd order is singular, so there the least w^2 is exactly 0, not the
-    eigh's eps ||S||^2, which would turn its null direction by up to
-    sqrt(eps) ||S||. The cos phi - 1 form keeps the small-t increment's
-    relative accuracy, and at S = 0 the flow is exactly I.
+    whose two diagonals angles(t, w) returns: exp's by default. Every w^2
+    within the eigh's own error, len(w2) eps max(w^2), is set to exactly 0:
+    left as the eigh returns it, a null direction of S (one at odd order,
+    more where S has a null space) would turn by up to sqrt(eps) ||S||. The
+    cos phi - 1 form keeps the small-t increment's relative accuracy, and at
+    S = 0 the flow is exactly I.
     """
     w2, V = np.linalg.eigh(S.T @ S)
-    if len(w2) % 2:
-        w2[0] = 0.0
-    w = np.sqrt(np.maximum(w2, 0.0))
+    w2[w2 <= len(w2) * np.finfo(float).eps * w2[-1]] = 0.0
+    w = np.sqrt(w2)
     SV = S @ V
     V_top = V[:k].T
     eye = np.eye(S.shape[0], k)

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from stiefel_retractions import bench, core
 from stiefel_retractions.bench import (
     ExperimentConfig,
     convergence_slope,
@@ -174,6 +175,15 @@ class TestErrorCurve:
             with pytest.raises(ValidationError, match="U1 is not Exp_U0"):
                 error_curve((U0, xi, endpoint), KINDS, 5)
         assert len(error_curve((U0, xi, U1), KINDS, 5)) == 5
+
+    def test_without_endpoint_matches_the_triple(self, monkeypatch):
+        # U1 = None is neither formed nor checked; the records are the triple's, bit for bit
+        cfg = ExperimentConfig(**SMALL)
+        U0, xi, U1 = gen_triple(cfg)
+        want = error_curve((U0, xi, U1), KINDS, cfg.steps)
+        monkeypatch.setattr(bench, "exp_beta", lambda *args: pytest.fail("exp_beta ran"))
+        monkeypatch.setattr(core, "exp_beta", lambda *args: pytest.fail("exp_beta ran"))
+        assert error_curve((U0, xi, None), KINDS, cfg.steps) == want
 
     def test_rejects_a_base_other_than_the_tangents(self):
         U0, xi, U1 = gen_triple(ExperimentConfig(**SMALL))

@@ -117,7 +117,7 @@ def test_invalid_dims_exit_nonzero(tmp_path):
 ], ids=["p0", "repeats0", "dist_nan", "kinds_comma", "kinds_empty", "n1_p1", "seed_negative",
         "order_dist0", "all_dist0", "kinds_repeated"])
 def test_invalid_sizes_exit_one(tmp_path, capsys, monkeypatch, command, args, message):
-    monkeypatch.setattr(cli, "_error_curve", lambda *args: pytest.fail("curve ran before refusal"))
+    monkeypatch.setattr(cli, "error_curve", lambda *args: pytest.fail("curve ran before refusal"))
     assert main([command, *args, "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not (tmp_path / "x").exists()
@@ -171,7 +171,7 @@ def test_curve_refuses_a_tangent_exp_beta_refuses(tmp_path, capsys):
 @pytest.mark.parametrize("out", ["file", "file/run"])
 def test_out_not_creatable_exits_one_before_any_experiment(tmp_path, capsys, monkeypatch, out):
     (tmp_path / "file").write_text("")
-    monkeypatch.setattr(cli, "_error_curve", lambda *args: pytest.fail("experiment ran"))
+    monkeypatch.setattr(cli, "error_curve", lambda *args: pytest.fail("experiment ran"))
     assert main(["curve", *SMALL_ARGS, "--out", str(tmp_path / out)]) == 1
     assert capsys.readouterr().err.startswith("error: cannot create output directory")
 

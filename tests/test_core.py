@@ -318,6 +318,17 @@ class TestFactoredGeodesic:
         for t in (0.5, 1.0):
             assert np.linalg.norm(flow(t) - scipy.linalg.expm(t * S)) <= 1e-10, t
 
+    def test_even_order_null_space_at_large_norm(self):
+        # the odd-order S above with a zero row and column: even order, two null
+        # directions, whose eigenvalues of S.T S the eigh returns near eps ||S||^2;
+        # zeroing only at odd order missed expm by 1.5e-9 here, every eigenvalue
+        # within the eigh's error set to 0 reads 9.7e-12
+        S = np.random.default_rng(3).standard_normal((11, 11))
+        S = np.pad((S - S.T) * (1e4 / np.linalg.norm(S - S.T)), ((0, 1), (0, 1)))
+        flow = _skew_flow(S, 12)
+        for t in (0.5, 1.0):
+            assert np.linalg.norm(flow(t) - scipy.linalg.expm(t * S)) <= 1e-10, t
+
     def test_rejects_non_tangent(self):
         U0 = rand_point(20, 4, 0)
         with pytest.raises(ValidationError, match="not skew-symmetric"):
