@@ -12,9 +12,12 @@ Each experiment factors xi once, by core._frame: A = U0.T xi and the
 thin QR Q R = xi - U0 A. In the coordinates of the basis [U0 Q], U0 is E
 = [I; 0] in St(2p, p) and xi is [A; R]: each beta's geodesic is
 core._flow(A, R, beta), U1 is that flow's endpoint at beta = 1, and the
-inverses run on E and that endpoint. The QR and error_curve's check of U1
-against the endpoint are the only n-sized work. stiefel-bench curve passes
-U1 = None, so it forms no U1 and factors xi once.
+inverses run on E and that endpoint. Every retraction curve runs at E, on
+[A; R] (order) or on an inverse's preimage (curve), in those 2p-by-p chart
+coordinates (retractions._curve). The QR and error_curve's check of U1
+against the endpoint are the only n-sized work, and only that check needs
+Q: convergence_slopes, and error_curve with U1 = None, as stiefel-bench
+curve passes it, take R alone from the QR and form no U1.
 """
 
 from __future__ import annotations
@@ -115,13 +118,13 @@ def gen_triple(cfg: ExperimentConfig) -> tuple[StiefelPoint, TangentVector, Stie
 
 
 def _deviations(geodesics: dict[float, Callable], rows: list[tuple[str, float]],
-                curves: dict[str, TangentVector], ts) -> dict[tuple[str, float], list[float]]:
+                curves: dict[str, np.ndarray], ts) -> dict[tuple[str, float], list[float]]:
     """||geodesics[beta](t) - R_kind(t curves[kind])||_F over ts, per (kind, beta) row.
 
     The geodesics are core._flow's in the coordinates [A; R] of core._frame,
-    and every curve tangent is at E = canonical_point(2p, p). Each kind's
-    retraction curve (retractions._curve) is factored once, and every curve
-    and geodesic is evaluated once per t.
+    and every curves[kind] is a tangent's 2p-by-p chart coordinates at E =
+    [I_p; 0]. Each kind's retraction curve (retractions._curve) is factored
+    once, and every curve and geodesic is evaluated once per t.
     """
     retracted = {kind: _curve(kind, c) for kind, c in curves.items()}
     out: dict[tuple[str, float], list[float]] = {row: [] for row in rows}
@@ -145,13 +148,13 @@ def error_curve(
     where exp_beta would refuse Exp(xi) = basis @ V1. U0 and U1 are read
     only to refuse, with ValidationError, a U0 other than xi's base or a U1
     farther than tol_struct(p) from Exp(xi). U1 may be None: then it is
-    neither formed nor checked.
+    neither formed nor checked, and core._frame forms no basis [U Q].
     """
     _check_experiment(kinds, steps)
     U0, xi, U1 = triple
     if U0 is not xi.base and not np.array_equal(U0.U, xi.base.U):
         raise ValidationError("error_curve: U0 is not the base point of xi")
-    basis, A, R = _frame(xi)
+    basis, A, R = _frame(xi, basis=U1 is not None)
     geodesic = _flow(A, R, BETA_EUCLIDEAN)
     V1 = StiefelPoint(geodesic(1.0))
     _check_exp_defect(V1.U, xi)
@@ -160,7 +163,7 @@ def error_curve(
         if miss > tol_struct(xi.base.p):
             raise ValidationError(f"error_curve: U1 is not Exp_U0(xi) (miss {miss:.3e})")
     E = canonical_point(*V1.U.shape)
-    curves = {kind: RETRACTION_PAIRS[kind][1](E, V1) for kind in kinds}
+    curves = {kind: RETRACTION_PAIRS[kind][1](E, V1).Xi for kind in kinds}
     ts = [k / (steps - 1) for k in range(steps)]
     devs = _deviations({BETA_EUCLIDEAN: geodesic}, [(k, BETA_EUCLIDEAN) for k in kinds], curves, ts)
     return [ErrorCurveRecord(t, {kind: devs[kind, BETA_EUCLIDEAN][i] for kind in kinds})
@@ -198,10 +201,9 @@ def convergence_slopes(
     if big == 0:
         raise ValidationError("convergence_slopes: tangent is zero, so it has no step length")
     X = xi.Xi / big
-    _, A, R = _frame(TangentVector(xi.base, X / np.linalg.norm(X)))
-    x = TangentVector(canonical_point(2 * xi.base.p, xi.base.p), np.vstack([A, R]))
+    _, A, R = _frame(TangentVector(xi.base, X / np.linalg.norm(X)), basis=False)
     geodesics = {beta: _flow(A, R, beta) for beta in dict.fromkeys(beta for _, beta in rows)}
-    devs = _deviations(geodesics, rows, dict.fromkeys(kinds, x), _ORDER_T_GRID)
+    devs = _deviations(geodesics, rows, dict.fromkeys(kinds, np.vstack([A, R])), _ORDER_T_GRID)
     log_t, floor = np.log(_ORDER_T_GRID), _ROUNDING * np.sqrt(xi.base.p)
     return {row: float(np.polyfit(log_t, np.log(d), 1)[0]) if min(d) > floor else np.nan
             for row, d in devs.items()}

@@ -113,10 +113,18 @@ def _skew_block(xi: TangentVector) -> np.ndarray:
     i.e. when Xi is not tangent at its base. Roundoff in U.T Xi, and in
     any projection that made Xi, scales with ||Xi||_F, so the bound does too.
     """
-    A = xi.base.U.T @ xi.Xi
+    return _skew_part(xi.base.U.T @ xi.Xi, xi.norm, "U.T Xi")
+
+
+def _skew_part(A: np.ndarray, norm: float, name: str) -> np.ndarray:
+    """0.5 (A - A.T), once A's symmetric part is within tol_struct(p) max(1, norm).
+
+    A is U.T Xi, or the top block of a tangent's chart coordinates at E, and
+    norm is ||Xi||_F; ValidationError names A by name when it is not skew.
+    """
     defect = np.linalg.norm(A + A.T)
-    if defect > tol_struct(xi.base.p) * max(1.0, xi.norm):
-        raise ValidationError(f"U.T Xi not skew-symmetric (defect {defect:.3e})")
+    if defect > tol_struct(len(A)) * max(1.0, norm):
+        raise ValidationError(f"{name} not skew-symmetric (defect {defect:.3e})")
     return 0.5 * (A - A.T)
 
 
@@ -186,10 +194,12 @@ def exp_beta(xi: TangentVector, beta: float = BETA_EUCLIDEAN) -> StiefelPoint:
     2p-by-2p and one of a p-by-p symmetric matrix. Raises ValidationError
     when Xi is not tangent or beta is not positive and finite, and
     DomainError when the result misses orthonormality by more than
-    tol_struct(p): the eigh of S.T S in _skew_flow errs by eps ||S||^2, an
-    angle error of up to sqrt(eps) ||S|| on a slowly turned plane, which can
-    pass that bound from about ||Xi||_F = 1e6 on; _skew_flow does not turn
-    null directions, so Xi = U A meets the same bound at odd p as at even.
+    tol_struct(p). _skew_flow takes its rates as column norms, with an
+    angle error of about eps ||S|| on every plane, so the defect grows like
+    eps ||Xi||_F: seeded tangents pass the bound only from about ||Xi||_F =
+    5e7 on, past expm_skew's own norm limit of about 4.5e7; _skew_flow does
+    not turn null directions, so Xi = U A meets the same bound at odd p as at
+    even.
     """
     basis, A, R = _frame(xi)
     Y = basis @ _flow(A, R, beta)(1.0)
@@ -222,23 +232,27 @@ def _skew_flow(S: np.ndarray, k: int, angles: Callable = _exp_angles) -> Callabl
     -S^2 = S.T S = V diag(w^2) V.T commutes with S, so (Gallier & Xu, 2002)
     a map f that turns the plane of S turned at rate w by an angle phi
     gives f(t S) = I + V diag(cos phi - 1) V.T + S V diag(sin phi / w) V.T,
-    whose two diagonals angles(t, w) returns: exp's by default. Every w^2
-    within the eigh's own error, len(w2) eps max(w^2), is set to exactly 0:
-    left as the eigh returns it, a null direction of S (one at odd order,
-    more where S has a null space) would turn by up to sqrt(eps) ||S||. The
-    cos phi - 1 form keeps the small-t increment's relative accuracy, and at
-    S = 0 the flow is exactly I.
+    whose two diagonals angles(t, w) returns: exp's by default. Each rate is
+    the column norm w = ||S v|| of S V, not sqrt(w^2): the eigh errs by eps
+    ||S||^2 in w^2, which a square root turns into an error of up to
+    sqrt(eps) ||S|| in a small w, while the column norm errs by about eps
+    ||S||. Every rate whose w^2 is within the eigh's own error, len(w2) eps
+    max(w^2), is set to exactly 0: left as it is, a null direction of S (one
+    at odd order, more where S has a null space) would turn by a rounding
+    angle. The cos phi - 1 form keeps the small-t increment's relative
+    accuracy, and at S = 0 the flow is exactly I.
     """
     w2, V = np.linalg.eigh(S.T @ S)
-    w2[w2 <= len(w2) * np.finfo(float).eps * w2[-1]] = 0.0
-    w = np.sqrt(w2)
     SV = S @ V
+    w = np.sqrt(np.einsum("ij,ij->j", SV, SV))
+    w[w2 <= len(w2) * np.finfo(float).eps * w2[-1]] = 0.0
     V_top = V[:k].T
-    eye = np.eye(S.shape[0], k)
 
     def at(t: float) -> np.ndarray:
         cos_minus_one, sin_over_w = angles(t, w)
-        return eye + (V * cos_minus_one + SV * sin_over_w) @ V_top
+        F = (V * cos_minus_one + SV * sin_over_w) @ V_top
+        F[:k].flat[:: k + 1] += 1.0
+        return F
 
     return at
 
@@ -259,15 +273,20 @@ def _flow(A: np.ndarray, R: np.ndarray, beta: float) -> Callable[[float], np.nda
     return lambda t: head(t) @ twist(t)
 
 
-def _frame(xi: TangentVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _frame(xi: TangentVector, basis: bool = True) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """(basis, A, R): A = U.T Xi, the thin QR Q R = Xi - U A and basis = [U Q].
 
     basis @ _flow(A, R, beta)(t) is Exp_beta(t xi). [U Q] is not orthonormal
     when Xi - U A is rank-deficient, but it keeps the norm of every [a; R b],
     as Q R b = (Xi - U A) b is orthogonal to U; every column that _flow, the
     inverses and the retraction curves form from E = [I_p; 0] and [A; R] is
-    such a vector.
+    such a vector. With basis False, for callers that stay in the
+    coordinates [A; R], the QR forms R alone (the same R, bit for bit) and
+    the basis returned is None.
     """
     A = _skew_block(xi)
-    Q, R = np.linalg.qr(xi.Xi - xi.base.U @ A)
+    P = xi.Xi - xi.base.U @ A
+    if not basis:
+        return None, A, np.linalg.qr(P, mode="r")
+    Q, R = np.linalg.qr(P)
     return np.hstack([xi.base.U, Q]), A, R

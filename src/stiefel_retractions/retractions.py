@@ -16,8 +16,9 @@ Every retraction is the polar factor of U K + Xi: K = I for PF and
 K = twist(A) - A, A = U.T Xi, for PL and PL-Cayley, which share one
 implementation; the chart at E = [I; 0] is the PL pair at E. All O(n)
 work is plain matrix-matrix multiplication; decompositions only touch
-p-by-p blocks. _curve factors a whole retraction curve t -> R(t xi),
-normalizer and twist (core._skew_flow), for the deviation experiments.
+p-by-p blocks. For the deviation experiments, _curve factors a whole
+retraction curve t -> R(E, t X) at E in chart coordinates X = [A; B],
+normalizer and twist (core._skew_flow), once for all t.
 """
 
 from __future__ import annotations
@@ -27,7 +28,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import matfun
-from .core import StiefelPoint, TangentVector, _exp_angles, _skew_block, _skew_flow, canonical_point
+from .core import (
+    StiefelPoint,
+    TangentVector,
+    _exp_angles,
+    _skew_block,
+    _skew_flow,
+    _skew_part,
+    canonical_point,
+)
 from .matfun import DomainError, ValidationError, cay, cay_inv, expm_skew, invsqrtm_spd, logm_so
 
 # Floor on the singular values of U0.T @ U1 below which the PL chart
@@ -102,43 +111,54 @@ def _cay_angles(t: float, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return -2.0 * x2 / (1.0 + x2), t / (1.0 + x2)
 
 
-def _curve(kind: str, xi: TangentVector) -> Callable[[float], np.ndarray]:
-    """t -> RETRACTION_PAIRS[kind][0](xi.scaled(t)).U, normalizer and twist factored once for all t.
+def _curve(kind: str, X: np.ndarray) -> Callable[[float], np.ndarray]:
+    """t -> RETRACTION_PAIRS[kind][0](TangentVector(E, t X)).U, factored once for all t.
 
-    With A = U.T Xi and P = Xi - U A, the retraction is the polar factor of
-    M = U + t Xi (PF) or M = U twist(t A) + t P (PL, PL-Cayley). A is skew
-    and U.T P = 0, so M.T M = I + t^2 G with G = Xi.T Xi or P.T P, and one
-    eigh G = W diag(lam) W.T gives M (M.T M)^(-1/2) = M W diag((1 + t^2
-    lam)^(-1/2)) W.T at every t (Higham, 1986), as core._frame and
-    core._flow factor the geodesic. While t^2 lam <= 1 the factor
-    (M.T M)^(-1/2) is formed as I + W diag(delta) W.T, delta = (1 + t^2
-    lam)^(-1/2) - 1 written without cancellation, so the curve is exactly U
-    at t = 0; above, that increment would cancel. The twist is
-    core._skew_flow of A with exp's or cay's angles. ValidationError when Xi
-    is not tangent; DomainError wherever the public map would refuse: by
-    expm_skew's norm test, matfun._check_expm_norm (cay has none that a
-    skew A can meet), and invsqrtm_spd's condition test,
+    X = [A; B] is a tangent's m-by-p chart coordinates at E = [I_p; 0], A =
+    X[:p] skew: the deviation experiments' [A; R] of core._frame, or an
+    inverse's preimage at E. With N = X (PF) or X - [A; 0] (PL, PL-Cayley),
+    the retraction is the polar factor of M = t N with I (PF) or twist(t A)
+    added to its top p rows. A is skew and N's top block is 0 for PL, so
+    M.T M = I + t^2 N.T N, and one eigh N.T N = W diag(lam) W.T gives
+    M (M.T M)^(-1/2) = M W diag((1 + t^2 lam)^(-1/2)) W.T at every t
+    (Higham, 1986), as core._flow factors the geodesic. M W is t N W, formed
+    once, with W or twist(t A) W added to its top rows. While t^2 lam <= 1
+    the polar factor is formed as M + M W diag(delta) W.T, delta = (1 + t^2
+    lam)^(-1/2) - 1 written without cancellation, so the curve is exactly E
+    at t = 0; above, that increment would cancel. Per t this is one m-by-p
+    by p-by-p product, and for PL two more p-by-p ones: the twist, which is
+    core._skew_flow of A with exp's or cay's angles, and its product with W.
+    ValidationError when A is not skew; DomainError wherever the public map
+    would refuse: by expm_skew's norm test, matfun._check_expm_norm (cay has
+    none that a skew A can meet), and invsqrtm_spd's condition test,
     matfun._check_spd_condition, on the eigenvalues 1 + t^2 lam of M.T M.
     """
-    U = xi.base.U
-    A = _skew_block(xi)
+    p = X.shape[1]
+    A = _skew_part(X[:p], np.linalg.norm(X), "chart block A")
     angles = _exp_angles if kind == "pl" else _cay_angles
-    twist = None if kind == "pf" else _skew_flow(A, len(A), angles)
-    N = xi.Xi if twist is None else xi.Xi - U @ A
+    twist = None if kind == "pf" else _skew_flow(A, p, angles)
+    N = X if twist is None else np.vstack([X[:p] - A, X[p:]])
     lam, W = np.linalg.eigh(N.T @ N)
     lam = np.maximum(lam, 0.0)
+    NW = N @ W
+    eye = np.eye(p)
     norm = np.linalg.norm(A)
 
     def at(t: float) -> np.ndarray:
         if kind == "pl":
             matfun._check_expm_norm(abs(t) * norm)
-        M = (U if twist is None else U @ twist(t)) + t * N
+        top = eye if twist is None else twist(t)
+        MW = t * NW
+        MW[:p] += W if twist is None else top @ W
         d = 1.0 + t * t * lam
         matfun._check_spd_condition(d[0], d[-1])
         if t * t * lam[-1] > 1.0:
-            return M @ ((W * d**-0.5) @ W.T)
+            return (MW * d**-0.5) @ W.T
         delta = -t * t * lam / (np.sqrt(d) * (1.0 + np.sqrt(d)))
-        return M @ (np.eye(len(lam)) + (W * delta) @ W.T)
+        M = t * N
+        M[:p] += top
+        M += (MW * delta) @ W.T
+        return M
 
     return at
 

@@ -128,9 +128,9 @@ def test_order_factors_each_geodesic_once(tmp_path, monkeypatch):
     # beta, shared by all kinds
     calls = {"_frame": 0, "_flow": 0}
     for name in calls:
-        def counted(*args, _fn=getattr(bench, name), _name=name):
+        def counted(*args, _fn=getattr(bench, name), _name=name, **kwargs):
             calls[_name] += 1
-            return _fn(*args)
+            return _fn(*args, **kwargs)
         monkeypatch.setattr(bench, name, counted)
     assert main(["order", *SMALL_ARGS, "--kinds", "pf,pl,pl_cayley",
                  "--out", str(tmp_path / "run")]) == 0
@@ -139,17 +139,30 @@ def test_order_factors_each_geodesic_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["curve", "order"])
 def test_experiments_run_no_matrix_function_per_step(tmp_path, monkeypatch, command):
-    # curve factors xi once, by core._frame, and forms no U1 = Exp(xi); the
-    # retraction curves take their twists from one core._skew_flow each, so
-    # neither command calls the public twist maps
+    # curve factors xi once, by core._frame, and forms no U1 = Exp(xi); neither
+    # command forms the frame's basis [U Q], as both stay in the coordinates
+    # [A; R]; the retraction curves take their twists from one
+    # core._skew_flow each, so neither command calls the public twist maps
     frames, frame = [], bench._frame
-    monkeypatch.setattr(bench, "_frame", lambda xi: frames.append(xi) or frame(xi))
+    monkeypatch.setattr(bench, "_frame", lambda xi, **kw: frames.append(kw) or frame(xi, **kw))
     for module, name in ((bench, "exp_beta"), (core, "exp_beta"), (matfun, "expm_skew"),
                          (matfun, "cay"), (retractions, "expm_skew"), (retractions, "cay")):
         monkeypatch.setattr(module, name, lambda *args, _name=name: pytest.fail(f"{_name} ran"))
     assert main([command, *SMALL_ARGS, "--kinds", "pf,pl,pl_cayley",
                  "--out", str(tmp_path / "run")]) == 0
-    assert len(frames) == 1
+    assert frames == [{"basis": False}]
+
+
+@pytest.mark.parametrize("command", ["curve", "order"])
+def test_experiments_form_the_skew_block_once(tmp_path, monkeypatch, command):
+    # U.T Xi is formed and checked once, in core._frame; each retraction curve
+    # takes its block A from the chart coordinates [A; R] or an inverse's preimage
+    calls, skew_block = [], core._skew_block
+    for module in (core, retractions):
+        monkeypatch.setattr(module, "_skew_block", lambda xi: calls.append(xi) or skew_block(xi))
+    assert main([command, *SMALL_ARGS, "--kinds", "pf,pl,pl_cayley",
+                 "--out", str(tmp_path / "run")]) == 0
+    assert len(calls) == 1
 
 
 def test_all_draws_xi_once(tmp_path, monkeypatch):

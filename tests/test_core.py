@@ -18,7 +18,7 @@ from stiefel_retractions.core import (
     rand_point,
     rand_tangent,
 )
-from stiefel_retractions.matfun import ValidationError, expm_skew
+from stiefel_retractions.matfun import ValidationError, expm_skew, tol_struct
 
 
 def exp_beta_full_completion(U, Xi, beta):
@@ -328,6 +328,19 @@ class TestFactoredGeodesic:
         flow = _skew_flow(S, 12)
         for t in (0.5, 1.0):
             assert np.linalg.norm(flow(t) - scipy.linalg.expm(t * S)) <= 1e-10, t
+
+    @pytest.mark.parametrize("norm", [1e4, 1e6, 1e7, 3e7])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_euclidean_flow_at_large_norm(self, seed, norm):
+        # the rates are SV's column norms, which err by about eps ||S||; square
+        # roots of S.T S's eigenvalues err by up to sqrt(eps) ||S|| on a small
+        # rate, and read 4.4e-7 at 1e7 and 1.1e-6 at 3e7 against this 4.5e-8
+        # bound, where the column norms read 9.8e-9 and 2.6e-8
+        xi = rand_tangent(rand_point(200, 20, seed), norm, seed + 10)
+        _, A, R = _frame(xi)
+        L = np.block([[2.0 * A, -R.T], [R, np.zeros((20, 20))]])
+        want = scipy.linalg.expm(L)[:, :20] @ scipy.linalg.expm(-A)
+        assert np.linalg.norm(_flow(A, R, BETA_EUCLIDEAN)(1.0) - want) <= tol_struct(20)
 
     def test_rejects_non_tangent(self):
         U0 = rand_point(20, 4, 0)

@@ -8,6 +8,7 @@ from stiefel_retractions.core import (
     BETA_EUCLIDEAN,
     StiefelPoint,
     TangentVector,
+    _frame,
     canonical_point,
     check_point,
     exp_beta,
@@ -510,8 +511,16 @@ class TestDomainEdges:
             assert np.linalg.norm(out.U - W @ Zt) <= matfun.tol_struct(p)
 
 
+def frame_curve(kind, xi):
+    """t -> basis @ _curve(kind, [A; R])(t), with core._frame's basis, A and R of xi."""
+    basis, A, R = _frame(xi)
+    curve = _curve(kind, np.vstack([A, R]))
+    return lambda t: basis @ curve(t)
+
+
 class TestFactoredCurve:
-    """retractions._curve, the deviation experiments' retraction curve, is the public map."""
+    """retractions._curve, the deviation experiments' retraction curve in chart
+    coordinates at E, is the public map in core._frame's basis [U Q]."""
 
     @pytest.mark.parametrize("norm", [np.pi / 2, 10.0, 1e5])
     @pytest.mark.parametrize("n, p", [(40, 8), (1000, 100), (40, 7), (1000, 101), (60, 11), (50, 13)])
@@ -523,16 +532,20 @@ class TestFactoredCurve:
         # and 8.9e-13 at (50, 13), where the exact 0 reads 6.5e-15 and 8.1e-15
         ret = RETRACTION_PAIRS[kind][0]
         xi = rand_tangent(rand_point(n, p, 1), norm, 2)
-        curve = _curve(kind, xi)
+        curve = frame_curve(kind, xi)
         for t in np.linspace(0.0, 1.0, 51):
             assert np.linalg.norm(curve(t) - ret(xi.scaled(t)).U) <= 1e-13
 
     @pytest.mark.parametrize("n, p", [(40, 8), (1000, 400)])
     @pytest.mark.parametrize("kind", ["pf", "pl", "pl_cayley"])
     def test_starts_at_the_base(self, kind, n, p):
-        # the increment form adds an exact zero to M = U at t = 0
+        # the increment form adds an exact zero to M = E at t = 0, and the
+        # frame's basis maps E to U exactly
         xi = rand_tangent(rand_point(n, p, 1), np.pi / 2, 2)
-        assert np.array_equal(_curve(kind, xi)(0.0), xi.base.U)
+        basis, A, R = _frame(xi)
+        at_zero = _curve(kind, np.vstack([A, R]))(0.0)
+        assert np.array_equal(at_zero, canonical_point(2 * p, p).U)
+        assert np.array_equal(basis @ at_zero, xi.base.U)
 
     @pytest.mark.parametrize("kind", ["pf", "pl", "pl_cayley"])
     def test_refuses_where_the_public_map_does(self, kind):
@@ -543,7 +556,7 @@ class TestFactoredCurve:
         P = normal_part(U0, np.random.default_rng(2).standard_normal((40, 8)))
         P[:, 0] = 0.0
         xi = TangentVector(U0, P * (1e5 / np.linalg.norm(P)))
-        curve = _curve(kind, xi)
+        curve = frame_curve(kind, xi)
         for t in (1e-3, 1e-2, 0.1):
             assert np.linalg.norm(curve(t) - ret(xi.scaled(t)).U) <= 1e-13
         for at_one in (lambda: curve(1.0), lambda: ret(xi.scaled(1.0))):
@@ -554,7 +567,7 @@ class TestFactoredCurve:
         S = np.random.default_rng(3).standard_normal((8, 8))
         S -= S.T
         xi = TangentVector(U0, U0.U @ (S * (1e8 / np.linalg.norm(S))))
-        for at_one in (lambda: _curve(kind, xi)(1.0), lambda: ret(xi)):
+        for at_one in (lambda: frame_curve(kind, xi)(1.0), lambda: ret(xi)):
             if kind == "pl":
                 with pytest.raises(DomainError, match=r"expm_skew: norm 1\.000e\+08 too large"):
                     at_one()
@@ -563,10 +576,11 @@ class TestFactoredCurve:
 
     @pytest.mark.parametrize("kind", ["pf", "pl", "pl_cayley"])
     def test_rejects_non_tangent(self, kind):
-        # unlike pf_ret, the PF curve needs U.T Xi skew: M.T M = I + t^2 Xi.T Xi
-        U0 = rand_point(20, 4, 0)
+        # unlike pf_ret, the PF curve needs its top block A skew: M.T M = I + t^2 X.T X;
+        # this is U.T Xi = diag(0.3, 0.1, 0, 0.2) in chart coordinates
+        X = np.vstack([np.diag([0.3, 0.1, 0.0, 0.2]), np.zeros((4, 4))])
         with pytest.raises(ValidationError, match="not skew"):
-            _curve(kind, TangentVector(U0, U0.U * [0.3, 0.1, 0.0, 0.2]))
+            _curve(kind, X)
 
 
 class TestSharedInvariants:
